@@ -2,6 +2,10 @@
 // arena (nodes are never individually freed); the runtime uses arenas as
 // memory pools for intermediate records, mirroring the paper's
 // memory-allocation-hoisting transformation (Appendix D.1).
+//
+// Blocks are NOT zero-filled: callers write what they allocate before
+// reading it (as the generated C's malloc-backed qc_pool_new requires too),
+// so a pool pays only for the pages it touches.
 #ifndef QC_COMMON_ARENA_H_
 #define QC_COMMON_ARENA_H_
 
@@ -23,7 +27,7 @@ class Arena {
     size_t cur = (offset_ + align - 1) & ~(align - 1);
     if (blocks_.empty() || cur + bytes > block_size_) {
       size_t sz = bytes > block_size_ ? bytes : block_size_;
-      blocks_.push_back(std::make_unique<char[]>(sz));
+      blocks_.emplace_back(new char[sz]);  // default-init: no memset
       capacity_ += sz;
       offset_ = 0;
       cur = 0;

@@ -1,5 +1,5 @@
 // Shared parsing of environment knobs. Every QC_* on/off flag
-// (QC_JIT_DISABLE, QC_BENCH_*, QC_PAR_TRACE, ...) uses the same rule:
+// (QC_JIT_DISABLE, QC_BENCH_*, QC_SERVE_NO_JIT, ...) uses the same rule:
 // set to anything non-empty other than "0…" means on — so the knobs can
 // never silently diverge between call sites. Integer-valued knobs
 // (QC_JIT_STATS, the morsel- and sort-sizing knobs) go through

@@ -1,14 +1,13 @@
 #include "exec/parallel.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <system_error>
-#include <unordered_map>
 
 #include "common/env.h"
 #include "common/fault.h"
+#include "common/hash.h"
 #include "telemetry/log.h"
 #include "telemetry/trace.h"
 
@@ -74,14 +73,61 @@ void CreditGroupRec(AllocStats* stats, const ir::ParReduction& red) {
   }
 }
 
+// Morsel-local group record -> the main record that absorbed it, for
+// replaying record-keyed f64 logs (hash-map groups; group arrays log slot
+// indices instead). Linear probing over a power-of-two table sized once per
+// morsel at load factor <= 1/2: inserts never rehash, and the table's
+// storage is reused across morsels.
+class RecordRemap {
+ public:
+  void Reset(size_t entries) {
+    size_t cap = 16;
+    while (cap < 2 * entries) cap <<= 1;
+    table_.assign(cap, {nullptr, nullptr});
+  }
+
+  void Insert(const void* from, Slot* to) {
+    size_t i = Home(from);
+    while (table_[i].first != nullptr) i = (i + 1) & (table_.size() - 1);
+    table_[i] = {from, to};
+  }
+
+  Slot* Find(const void* from) const {
+    for (size_t i = Home(from); table_[i].first != nullptr;
+         i = (i + 1) & (table_.size() - 1)) {
+      if (table_[i].first == from) return table_[i].second;
+    }
+    return nullptr;
+  }
+
+ private:
+  size_t Home(const void* p) const {
+    return HashMix(reinterpret_cast<uintptr_t>(p)) & (table_.size() - 1);
+  }
+
+  std::vector<std::pair<const void*, Slot*>> table_;
+};
+
 class Merger {
  public:
-  Merger(const LoopRun& run) : run_(run) {}
+  explicit Merger(const LoopRun& run) : run_(run) {
+    for (const ir::ParLogChannel& ch : run.plan->logs) {
+      needs_remap_ |= ch.var == nullptr && ch.array_red < 0;
+    }
+  }
 
   void MergeMorsel(MorselState& ms) {
     const ir::ParLoop& plan = *run_.plan;
     run_.stats->MergeFrom(ms.stats);
-    remap_.clear();
+    if (needs_remap_) {
+      size_t groups = 0;
+      for (size_t i = 0; i < plan.reductions.size(); ++i) {
+        if (plan.reductions[i].kind == ir::ParRedKind::kMap) {
+          groups += static_cast<RtHashMap*>(ms.priv[i].p)->entries().size();
+        }
+      }
+      remap_.Reset(groups);
+    }
 
     // Scalar accumulators fold in the morsel's *register* value: the body
     // rebinds the accumulator register to the identity and accumulates
@@ -167,15 +213,16 @@ class Merger {
       // re-inserts (accounting a node of its own) or the group existed.
       run_.stats->CreditHeap(sizeof(RtHashMap::Node), 1);
       RtHashMap::Node* e = main->Find(n->key);
+      Slot* survivor;
       if (e == nullptr) {
         main->Insert(n->key, n->value);
-        remap_[n->value.p] = static_cast<Slot*>(n->value.p);
+        survivor = static_cast<Slot*>(n->value.p);
       } else {
-        CombineGroupRec(static_cast<Slot*>(e->value.p),
-                        static_cast<const Slot*>(n->value.p), red);
+        survivor = static_cast<Slot*>(e->value.p);
+        CombineGroupRec(survivor, static_cast<const Slot*>(n->value.p), red);
         CreditGroupRec(run_.stats, red);
-        remap_[n->value.p] = static_cast<Slot*>(e->value.p);
       }
+      if (needs_remap_) remap_.Insert(n->value.p, survivor);
     }
   }
 
@@ -206,12 +253,10 @@ class Merger {
       Slot& mn = main->data[k];
       if (mn.p == nullptr) {
         mn = mv;  // adopt the morsel's record (heap stays alive)
-        remap_[mv.p] = static_cast<Slot*>(mv.p);
       } else {
         CombineGroupRec(static_cast<Slot*>(mn.p),
                         static_cast<const Slot*>(mv.p), red);
         CreditGroupRec(run_.stats, red);
-        remap_[mv.p] = static_cast<Slot*>(mn.p);
       }
     }
   }
@@ -266,13 +311,12 @@ class Merger {
         continue;
       }
       for (size_t e = 0; e + stride <= log.size(); e += stride) {
-        auto it = remap_.find(log[e].p);
-        if (it == remap_.end()) {
+        Slot* rec = remap_.Find(log[e].p);
+        if (rec == nullptr) {
           std::fprintf(stderr,
                        "parallel merge: log entry for unknown group record\n");
           std::abort();
         }
-        Slot* rec = it->second;
         for (size_t j = 0; j < ch.fields.size(); ++j) {
           rec[ch.fields[j]].d += log[e + 1 + ch.value_idx[j]].d;
         }
@@ -294,7 +338,8 @@ class Merger {
   }
 
   const LoopRun& run_;
-  std::unordered_map<const void*, Slot*> remap_;
+  bool needs_remap_ = false;  // some channel is keyed by record pointer
+  RecordRemap remap_;
 };
 
 }  // namespace
@@ -420,16 +465,28 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
   }
   int64_t num_morsels = static_cast<int64_t>(ranges.size());
 
-  // Budget gate: privatizing huge direct-addressed tables per morsel would
-  // trade too much memory for the parallelism.
+  // Array gates. The merge scans every slot of every private copy of a
+  // direct-addressed array, but a morsel fills at most morsel_rows of them:
+  // an array larger than a morsel costs more to allocate and merge than its
+  // scan saves, so such a loop runs sequentially. Then the budget: even
+  // morsel-sized copies must not trade too much memory for the parallelism.
   int64_t arr_bytes = 0;
   for (size_t i = 0; i < plan.reductions.size(); ++i) {
     if (!IsArrayRed(plan.reductions[i].kind)) continue;
     int64_t size = run.main_regs[(*run.red_size_regs)[i]].i;
-    if (size < 0) return false;
+    if (size < 0 || size > mr) return false;
     arr_bytes += size * static_cast<int64_t>(sizeof(Slot)) * num_morsels;
   }
   if (arr_bytes > kPrivateArrayBudget) return false;
+
+  // The span opens before the private-state set-up so a trace accounts for
+  // the whole loop. The session is captured once on the submitting thread
+  // and passed into the scan lambda — worker threads record their morsel
+  // slices into their own rings under the same session. Recording happens
+  // strictly after a morsel's body ran (and after each merge), so traced
+  // and untraced runs execute identical work in identical order.
+  uint64_t trace_session = telemetry::CurrentTraceSession();
+  telemetry::ScopedSpan loop_span("par_loop", "par", "rows", rows);
 
   // Private state per morsel. Privatized containers are runtime scratch:
   // they are created without AllocStats accounting (the sequential run
@@ -482,19 +539,6 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
     }
   }
 
-  // QC_PAR_TRACE=1: one line per parallel loop execution, with phase
-  // timings (debug / tuning aid).
-  static const bool trace = EnvFlagSet("QC_PAR_TRACE");
-  auto t0 = std::chrono::steady_clock::now();
-
-  // Tracing: the session is captured once on the submitting thread and
-  // passed into the scan lambda — worker threads record their morsel
-  // slices into their own rings under the same session. Recording happens
-  // strictly after a morsel's body ran (and after each merge), so traced
-  // and untraced runs execute identical work in identical order.
-  uint64_t trace_session = telemetry::CurrentTraceSession();
-  telemetry::ScopedSpan loop_span("par_loop", "par", "rows", rows);
-
   // The workers scan morsels; the caller thread runs the ordered merge
   // concurrently, folding each morsel in as soon as it (and all earlier
   // ones) completed, and steals scan work only when no merge is ready. On
@@ -534,20 +578,16 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
     while (merged < num_morsels &&
            done[merged].load(std::memory_order_acquire) != 0) {
       // A morsel skipped after a trip never ran its body (regs stays
-      // empty) and has nothing to merge.
-      if (!states[merged]->regs.empty()) {
-        if (trace_session != 0) {
-          int64_t ts = telemetry::TraceNowNs();
-          merger.MergeMorsel(*states[merged]);
-          telemetry::TraceRecord(trace_session, "merge", "par", ts,
-                                 telemetry::TraceNowNs() - ts, "morsel",
-                                 merged);
-        } else {
-          merger.MergeMorsel(*states[merged]);
-        }
-      }
+      // empty) and has nothing to merge. Releasing the morsel's transients
+      // belongs to its merge slice.
+      int64_t ts = trace_session != 0 ? telemetry::TraceNowNs() : 0;
+      if (!states[merged]->regs.empty()) merger.MergeMorsel(*states[merged]);
       states[merged]->ReleaseTransients();
       eng.Keep(std::move(states[merged]));
+      if (trace_session != 0) {
+        telemetry::TraceRecord(trace_session, "merge", "par", ts,
+                               telemetry::TraceNowNs() - ts, "morsel", merged);
+      }
       ++merged;
       any = true;
     }
@@ -568,19 +608,6 @@ bool RunForRange(Engine& eng, const LoopRun& run) {
     });
   }
   eng.pool().Wait();
-
-  if (trace) {
-    auto t1 = std::chrono::steady_clock::now();
-    telemetry::Log(
-        telemetry::LogLevel::kInfo, "par_loop",
-        {{"rows", static_cast<long long>(rows)},
-         {"morsels", static_cast<long long>(num_morsels)},
-         {"threads", eng.pool().threads()},
-         {"reds", plan.reductions.size()},
-         {"logs", plan.logs.size()},
-         {"total_ms",
-          std::chrono::duration<double, std::milli>(t1 - t0).count()}});
-  }
   return true;
 }
 
@@ -625,9 +652,6 @@ bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
   for (int64_t c = 0; c <= chunks; ++c) {
     bounds[static_cast<size_t>(c)] = n * c / chunks;
   }
-
-  static const bool trace = EnvFlagSet("QC_PAR_TRACE");
-  auto t0 = std::chrono::steady_clock::now();
 
   // Session captured on the submitting thread (workers record chunk/merge
   // slices into their own rings); see RunForRange.
@@ -688,17 +712,6 @@ bool ParallelStableSort(Engine& eng, Slot* data, int64_t n,
   }
   if (src != data) {
     std::memcpy(data, src, static_cast<size_t>(n) * sizeof(Slot));
-  }
-
-  if (trace) {
-    auto t1 = std::chrono::steady_clock::now();
-    telemetry::Log(
-        telemetry::LogLevel::kInfo, "par_sort",
-        {{"n", static_cast<long long>(n)},
-         {"chunks", static_cast<long long>(chunks)},
-         {"threads", threads},
-         {"total_ms",
-          std::chrono::duration<double, std::milli>(t1 - t0).count()}});
   }
   return true;
 }

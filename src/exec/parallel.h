@@ -72,9 +72,14 @@ struct ExecState {
   GovState* gov = nullptr;             // governance state (may be unattached)
 };
 
-// All worker-local state of one morsel. Records and interned strings
-// survive the merge (group records and join tuples are adopted by the main
-// structures); everything else is released right after merging.
+// All worker-local state of one morsel. What the merged result may point
+// into stays alive (Engine::Keep) until the next Run():
+//   * `records` — group records and join tuples adopted by the main
+//     structures. Duplicate group records folded into an existing one are
+//     credited back in AllocStats but freed only with the heap;
+//   * `strings` — interned strings referenced from records.
+// Everything else (private containers, register file, addend logs, emit
+// buffer) is released right after the morsel merges (ReleaseTransients).
 struct MorselState {
   AllocStats stats;
   RecordHeap records{&stats};
@@ -212,8 +217,9 @@ struct LoopRun {
 
 // Splits [lo, hi) into morsels, runs them on the pool, and merges in
 // morsel order. Returns false (without executing anything) when the loop
-// should just run sequentially: too few rows for two morsels, or the
-// private-array budget would be exceeded.
+// should just run sequentially: too few rows for two morsels, a group or
+// bucket array with more slots than a morsel has rows, or the private-array
+// memory budget would be exceeded.
 bool RunForRange(Engine& eng, const LoopRun& run);
 
 // Minimum rows per sorted run before a post-aggregation sort goes parallel

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -118,6 +119,73 @@ TEST(Arena, AllocatesAlignedAndTracks) {
   void* big = a.Allocate(1000);
   EXPECT_NE(big, nullptr);
   EXPECT_GE(a.bytes_reserved(), 1000u);
+}
+
+// Arena blocks are not zero-filled: a pool pays only for the pages it
+// touches, and every caller writes what it allocates before reading it (as
+// generated C's malloc-backed pools require too). The ASan CI job guards
+// that contract: ASan's malloc fill (0xbe over the first 4 KB of each
+// block) turns a read of unwritten pool memory into visible garbage rather
+// than the zeros a fresh page would happen to hold. Alignment is relative
+// to the block start, so requests up to alignof(std::max_align_t) hold.
+TEST(Arena, BlockCrossingOversizeAlignmentAccounting) {
+  constexpr size_t kMaxAlign = alignof(std::max_align_t);
+  Arena a(64);
+  EXPECT_EQ(a.bytes_used(), 0u);
+  EXPECT_EQ(a.bytes_reserved(), 0u);
+
+  // Bumps within the first block, padding to each request's alignment.
+  char* p0 = static_cast<char*>(a.Allocate(16));
+  char* p1 = static_cast<char*>(a.Allocate(16));
+  char* p2 = static_cast<char*>(a.Allocate(3, 1));
+  char* p3 = static_cast<char*>(a.Allocate(8, 8));    // pads 35 -> 40
+  char* p4 = static_cast<char*>(a.Allocate(16, 16));  // 43 -> 48, to 64
+  EXPECT_EQ(p1, p0 + 16);
+  EXPECT_EQ(p2, p0 + 32);
+  EXPECT_EQ(p3, p0 + 40);
+  EXPECT_EQ(p4, p0 + 48);
+  EXPECT_EQ(a.bytes_reserved(), 64u);
+  EXPECT_EQ(a.bytes_used(), 59u) << "padding is not counted as used";
+
+  // The block is full: the next request crosses into a new one.
+  char* p5 = static_cast<char*>(a.Allocate(8));
+  EXPECT_EQ(a.bytes_reserved(), 128u);
+  // An oversize request gets a block of exactly its size ...
+  char* p6 = static_cast<char*>(a.Allocate(100));
+  EXPECT_EQ(a.bytes_reserved(), 228u);
+  // ... and the next small request starts a fresh regular block.
+  char* p7 = static_cast<char*>(a.Allocate(1));
+  EXPECT_EQ(a.bytes_reserved(), 292u);
+  EXPECT_EQ(a.bytes_used(), 59u + 8 + 100 + 1);
+
+  for (char* p : {p0, p1, p5, p6, p7}) {
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kMaxAlign, 0u);
+  }
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(p3) % 8, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(p4) % 16, 0u);
+
+  // Every allocation is writable in full and no two overlap.
+  struct Span {
+    char* p;
+    size_t n;
+  };
+  const Span spans[] = {{p0, 16}, {p1, 16}, {p2, 3},   {p3, 8},
+                        {p4, 16}, {p5, 8},  {p6, 100}, {p7, 1}};
+  for (size_t i = 0; i < 8; ++i) {
+    std::memset(spans[i].p, static_cast<int>(i + 1), spans[i].n);
+  }
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t j = 0; j < spans[i].n; ++j) {
+      ASSERT_EQ(spans[i].p[j], static_cast<char>(i + 1))
+          << "allocation " << i << " byte " << j;
+    }
+  }
+
+  a.Reset();
+  EXPECT_EQ(a.bytes_used(), 0u);
+  EXPECT_EQ(a.bytes_reserved(), 0u);
+  EXPECT_NE(a.Allocate(8), nullptr);
+  EXPECT_EQ(a.bytes_reserved(), 64u);
 }
 
 TEST(Arena, NewConstructsObjects) {

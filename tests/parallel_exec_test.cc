@@ -18,6 +18,7 @@
 #include "ir/builder.h"
 #include "ir/parallel.h"
 #include "lower/pipeline.h"
+#include "telemetry/trace.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
 
@@ -64,13 +65,53 @@ void ExpectStatsEqual(const exec::AllocStats& got,
   EXPECT_EQ(got.vector_bytes, want.vector_bytes) << tag << ": vector_bytes";
 }
 
+storage::Database* TpchDb() {
+  static storage::Database* db =
+      new storage::Database(tpch::MakeTpchDatabase(0.01));
+  return db;
+}
+
+const InterpOptions::Engine kAllEngines[] = {InterpOptions::Engine::kBytecode,
+                                             InterpOptions::Engine::kTreeWalk,
+                                             InterpOptions::Engine::kJit};
+
+const char* EngineName(InterpOptions::Engine e) {
+  switch (e) {
+    case InterpOptions::Engine::kBytecode:
+      return "bytecode";
+    case InterpOptions::Engine::kTreeWalk:
+      return "treewalk";
+    case InterpOptions::Engine::kJit:
+      return "jit";
+  }
+  return "?";
+}
+
+size_t CountOccurrences(const std::string& hay, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = hay.find(needle); pos != std::string::npos;
+       pos = hay.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// Runs `fn` under a trace session and returns how many loops ran
+// morsel-parallel (one `par_loop` span each).
+size_t TracedParLoops(exec::Interpreter* interp, const ir::Function& fn,
+                      storage::ResultTable* out) {
+  uint64_t s = telemetry::TraceBeginSession();
+  {
+    telemetry::TraceScope scope(s);
+    *out = interp->Run(fn);
+  }
+  return CountOccurrences(telemetry::TraceEndSession(s),
+                          "\"name\":\"par_loop\"");
+}
+
 class ParallelExecTpchTest : public ::testing::TestWithParam<int> {
  protected:
-  static storage::Database* db() {
-    static storage::Database* db =
-        new storage::Database(tpch::MakeTpchDatabase(0.01));
-    return db;
-  }
+  static storage::Database* db() { return TpchDb(); }
 
   // Runs `fn` sequentially as the reference, then across engines x thread
   // counts x a second morsel size, asserting bitwise equality and exact
@@ -250,6 +291,174 @@ TEST(ParallelSkewedKeyTest, HotKeyChainsMergeInRowOrder) {
         seq_stats = interp.stats();
       } else {
         ExpectStatsEqual(interp.stats(), seq_stats, t);
+      }
+    }
+  }
+}
+
+// Runtime witness that direct-addressed group arrays still run in parallel.
+// A loop privatizes its group/bucket arrays only when each fits in one
+// morsel (larger ones would cost more to allocate and merge than the scan
+// saves), so the suite above would still pass if no array loop ever ran in
+// parallel. The par_loop span count pins which loops did:
+//   Q1:  the lineitem scan into a 6-slot group array;
+//   Q17: the lineitem scan into a 2000-slot (part key) group array, plus a
+//        scalar f64-sum scan;
+//   Q18: the lineitem scan into a 15000-slot (order key) group array, plus
+//        a hash-map scan — at morsel 2048 the array no longer fits. Its two
+//        15000-row join-bucket builds stay sequential at both sizes: too
+//        few rows for two 16384-row morsels, too many slots for 2048;
+//   Q20: the lineitem scan into a 200000-slot group array stays sequential
+//        at any morsel size here; only the multimap build runs in parallel.
+TEST(ParallelArrayGateTest, GroupArrayLoopsStillRunInParallel) {
+  struct Case {
+    int q;
+    int64_t morsel_rows;
+    size_t par_loops;
+  };
+  const Case cases[] = {{1, 16384, 1}, {17, 16384, 2}, {17, 2048, 2},
+                        {18, 16384, 2}, {18, 2048, 1}, {20, 16384, 1}};
+  for (const Case& c : cases) {
+    qplan::PlanPtr plan = tpch::MakeQuery(c.q);
+    qplan::ResolvePlan(plan.get(), *TpchDb());
+    ir::TypeFactory types;
+    QueryCompiler qc(TpchDb(), &types);
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(c.q));
+    exec::Interpreter ref(TpchDb(), Opts(InterpOptions::Engine::kBytecode, 1));
+    storage::ResultTable want = ref.Run(*res.fn);
+    for (InterpOptions::Engine e : kAllEngines) {
+      std::string tag = "Q" + std::to_string(c.q) + " " + EngineName(e) +
+                        " morsel=" + std::to_string(c.morsel_rows);
+      exec::Interpreter interp(TpchDb(), Opts(e, 4, c.morsel_rows));
+      storage::ResultTable got;
+      EXPECT_EQ(TracedParLoops(&interp, *res.fn, &got), c.par_loops) << tag;
+      ExpectBitExact(got, want, tag);
+    }
+  }
+}
+
+// A group array with more slots than a morsel has rows runs sequentially
+// (no par_loop span) — same bytes, same AllocStats at every thread count.
+// With a morsel big enough for the array, the same loop runs in parallel.
+TEST(ParallelArrayGateTest, ArrayLargerThanMorselRunsSequentially) {
+  storage::Database db;
+  ir::TypeFactory types;
+  ir::Function fn("wide_group_array", &types);
+  ir::Builder b(&fn);
+  const ir::Type* agg = types.Record(
+      "G", {{"g", types.I64()}, {"sum", types.F64()}, {"n", types.I64()}});
+  const int64_t kRows = 40000;
+  const int64_t kSlots = 5000;
+  ir::Stmt* arr = b.ArrNew(agg, b.I64(kSlots));
+  b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
+    ir::Stmt* k = b.Mod(b.Mul(i, b.I64(7919)), b.I64(kSlots));
+    b.If(b.IsNull(b.ArrGet(arr, k)), [&] {
+      b.ArrSet(arr, k, b.RecNew(agg, {k, b.F64(0.0), b.I64(0)}));
+    });
+    ir::Stmt* rec = b.ArrGet(arr, k);
+    b.RecSet(rec, 1,
+             b.Add(b.RecGet(rec, 1),
+                   b.Mul(b.Cast(i, types.F64()), b.F64(0.1))));
+    b.RecSet(rec, 2, b.Add(b.RecGet(rec, 2), b.I64(1)));
+  });
+  // Fewer than two morsels of rows at both sizes below: the emit loop
+  // itself never runs in parallel.
+  b.ForRange(b.I64(0), b.I64(kSlots), [&](ir::Stmt* j) {
+    ir::Stmt* rec = b.ArrGet(arr, j);
+    b.If(b.Not(b.IsNull(rec)), [&] {
+      b.EmitRow({b.RecGet(rec, 0), b.RecGet(rec, 1), b.RecGet(rec, 2)});
+    });
+  });
+
+  ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
+  bool group_array = false;
+  for (const ir::ParLoop& pl : info.loops) {
+    for (const ir::ParReduction& r : pl.reductions) {
+      group_array |= r.kind == ir::ParRedKind::kGroupArray;
+    }
+  }
+  ASSERT_TRUE(group_array) << "the scan must qualify as a group-array loop";
+
+  exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+  storage::ResultTable want = ref.Run(fn);
+  ASSERT_EQ(want.size(), static_cast<size_t>(kSlots));
+  for (InterpOptions::Engine e : kAllEngines) {
+    exec::AllocStats seq_stats;
+    for (int threads : {1, 2, 4}) {
+      std::string tag =
+          std::string(EngineName(e)) + " threads=" + std::to_string(threads);
+      // 4096-row morsels: the 5000-slot array does not fit.
+      exec::Interpreter interp(&db, Opts(e, threads, 4096));
+      storage::ResultTable got;
+      EXPECT_EQ(TracedParLoops(&interp, fn, &got), 0u) << tag;
+      ExpectBitExact(got, want, tag);
+      if (threads == 1) {
+        seq_stats = interp.stats();
+      } else {
+        ExpectStatsEqual(interp.stats(), seq_stats, tag);
+      }
+    }
+    exec::Interpreter fits(&db, Opts(e, 4, 8192));
+    storage::ResultTable got;
+    EXPECT_EQ(TracedParLoops(&fits, fn, &got), 1u) << EngineName(e);
+    ExpectBitExact(got, want, std::string(EngineName(e)) + " morsel=8192");
+    ExpectStatsEqual(fits.stats(), seq_stats,
+                     std::string(EngineName(e)) + " morsel=8192");
+  }
+}
+
+// Hash-map grouping with an f64 sum: its log entries are keyed by the
+// morsel-local group record and replayed through the merge's flat remap
+// table. Thousands of groups recur in every morsel, so each merge combines
+// into existing main records; morsel sizes 7 and 509 size the per-morsel
+// table from its minimum up to ~1k slots.
+TEST(ParallelMapRemapTest, ManyGroupsF64SumBitExact) {
+  storage::Database db;
+  ir::TypeFactory types;
+  ir::Function fn("map_f64_groups", &types);
+  ir::Builder b(&fn);
+  const ir::Type* agg = types.Record(
+      "M", {{"g", types.I64()}, {"sum", types.F64()}, {"n", types.I64()}});
+  const int64_t kRows = 30000;
+  const int64_t kGroups = 2500;
+  ir::Stmt* map = b.MapNew(types.I64(), agg);
+  b.ForRange(b.I64(0), b.I64(kRows), [&](ir::Stmt* i) {
+    ir::Stmt* k = b.Mod(b.Mul(i, b.I64(31)), b.I64(kGroups));
+    ir::Stmt* rec = b.MapGetOrElseUpdate(map, k, [&] {
+      return b.RecNew(agg, {k, b.F64(0.0), b.I64(0)});
+    });
+    b.RecSet(rec, 1,
+             b.Add(b.RecGet(rec, 1),
+                   b.Div(b.Cast(i, types.F64()), b.F64(3.0))));
+    b.RecSet(rec, 2, b.Add(b.RecGet(rec, 2), b.I64(1)));
+  });
+  b.MapForeach(map, [&](ir::Stmt* /*k*/, ir::Stmt* rec) {
+    b.EmitRow({b.RecGet(rec, 0), b.RecGet(rec, 1), b.RecGet(rec, 2)});
+  });
+
+  ir::ParallelInfo info = ir::AnalyzeParallelism(fn);
+  ASSERT_EQ(info.loops.size(), 1u);
+  ASSERT_EQ(info.loops[0].reductions.size(), 1u);
+  EXPECT_EQ(info.loops[0].reductions[0].kind, ir::ParRedKind::kMap);
+  ASSERT_EQ(info.loops[0].logs.size(), 1u);
+  EXPECT_LT(info.loops[0].logs[0].array_red, 0) << "record-keyed channel";
+
+  exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+  storage::ResultTable want = ref.Run(fn);
+  ASSERT_EQ(want.size(), static_cast<size_t>(kGroups));
+  exec::AllocStats seq_stats = ref.stats();
+  for (InterpOptions::Engine e : kAllEngines) {
+    for (int64_t morsel : {7, 509}) {
+      for (int threads : {2, 4}) {
+        std::string tag = std::string(EngineName(e)) +
+                          " morsel=" + std::to_string(morsel) +
+                          " threads=" + std::to_string(threads);
+        exec::Interpreter interp(&db, Opts(e, threads, morsel));
+        storage::ResultTable got;
+        EXPECT_EQ(TracedParLoops(&interp, fn, &got), 1u) << tag;
+        ExpectBitExact(got, want, tag);
+        ExpectStatsEqual(interp.stats(), seq_stats, tag);
       }
     }
   }
