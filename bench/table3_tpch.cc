@@ -1,10 +1,11 @@
 // Reproduces Table 3: execution time (ms) of all 22 TPC-H queries for the
-// Volcano interpreter (context row), the two in-process IR engines
+// Volcano interpreter (context row), the in-process IR engines
 // (tree-walking interpreter vs. register-bytecode VM, both executing the
-// 5-level-stack output), the LegoBase-style monolithic expander, DBLAB/LB
-// with 2..5 stack levels, and the TPC-H-compliant configuration. Native
-// queries run as generated C programs compiled with the system compiler
-// (the paper's pipeline); times are query-only (loading excluded).
+// 5-level-stack output; the tree walker is single-threaded, so it has a
+// cell only on threads=1 rows), the LegoBase-style monolithic expander,
+// DBLAB/LB with 2..5 stack levels, and the TPC-H-compliant configuration.
+// Native queries run as generated C programs compiled with the system
+// compiler (the paper's pipeline); times are query-only (loading excluded).
 //
 // Environment:
 //   QC_BENCH_SF           scale factor (default 0.05)
@@ -126,12 +127,16 @@ int main() {
     }
     // The dual-engine IR-interpreter rows: the same 5-level-stack function
     // on the tree walker and on the bytecode VM, at each requested thread
-    // count (QC_BENCH_THREADS; one JSON row per count).
+    // count (QC_BENCH_THREADS; one JSON row per count). The tree walker runs
+    // sequentially only: rows for threads > 1 omit its cell.
     for (size_t t = 0; t < thread_counts.size(); ++t) {
       int threads = thread_counts[t];
-      bench::InterpRun tree =
-          harness.RunInterp(q, StackConfig::Level(5),
-                            exec::InterpOptions::Engine::kTreeWalk, 3, threads);
+      bool with_tree = threads == 1;
+      bench::InterpRun tree;
+      if (with_tree) {
+        tree = harness.RunInterp(q, StackConfig::Level(5),
+                                 exec::InterpOptions::Engine::kTreeWalk, 3);
+      }
       bench::InterpRun bc =
           harness.RunInterp(q, StackConfig::Level(5),
                             exec::InterpOptions::Engine::kBytecode, 3, threads);
@@ -191,8 +196,13 @@ int main() {
       }
       if (t == 0) {
         row.threads = threads;
-        std::printf(" %10.2f %10.2f", tree.query_ms, bc.query_ms);
-        row.cells.emplace_back("ir-tree", tree.query_ms);
+        if (with_tree) {
+          std::printf(" %10.2f", tree.query_ms);
+          row.cells.emplace_back("ir-tree", tree.query_ms);
+        } else {
+          std::printf(" %10s", "-");
+        }
+        std::printf(" %10.2f", bc.query_ms);
         row.cells.emplace_back("ir-bc", bc.query_ms);
         if (with_jit) {
           std::printf(" %10.2f", jit.query_ms);
@@ -223,7 +233,7 @@ int main() {
                                  jit_verify_base.query_ms);
           row.cells.emplace_back("ir-jit-verify", jit_verify.query_ms);
         }
-        if (tree.ok && bc.ok && bc.query_ms > 0) {
+        if (with_tree && tree.ok && bc.ok && bc.query_ms > 0) {
           speedup_log_sum += std::log(tree.query_ms / bc.query_ms);
           ++speedup_count;
         }
@@ -231,7 +241,7 @@ int main() {
         Row trow;
         trow.query = q;
         trow.threads = threads;
-        trow.cells.emplace_back("ir-tree", tree.query_ms);
+        if (with_tree) trow.cells.emplace_back("ir-tree", tree.query_ms);
         trow.cells.emplace_back("ir-bc", bc.query_ms);
         if (with_jit) {
           trow.cells.emplace_back("ir-jit", jit.query_ms);
@@ -258,8 +268,9 @@ int main() {
           trow.cells.emplace_back("ir-jit-verify", jit_verify.query_ms);
         }
         json_rows.push_back(std::move(trow));
-        std::printf("  [t=%d: %0.2f %0.2f", threads, tree.query_ms,
-                    bc.query_ms);
+        std::printf("  [t=%d:", threads);
+        if (with_tree) std::printf(" %0.2f", tree.query_ms);
+        std::printf(" %0.2f", bc.query_ms);
         if (with_jit) std::printf(" %0.2f", jit.query_ms);
         std::printf("]");
       }

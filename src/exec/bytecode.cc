@@ -115,14 +115,20 @@ bool Contains(const std::vector<const Stmt*>& v, const Stmt* s) {
 }
 
 // Does `user` consume `s`, directly or anywhere inside its nested blocks?
-bool UsesStmtDeep(const Stmt* user, const Stmt* s) {
+// In a morsel fragment (`par` non-null) a kLog statement compiles to a
+// kLogRow that reads its channel's handle and values, not its own operands.
+bool UsesStmtDeep(const Stmt* user, const Stmt* s, const ir::ParLoop* par) {
+  if (par != nullptr && par->actions[user->id] == ir::ParAction::kLog) {
+    const ir::ParLogChannel& ch = par->logs[par->action_channel[user->id]];
+    if (ch.handle == s || Contains(ch.values, s)) return true;
+  }
   for (const Stmt* a : user->args) {
     if (a == s) return true;
   }
   for (const Block* b : user->blocks) {
     if (b->result == s) return true;
     for (const Stmt* t : b->stmts) {
-      if (UsesStmtDeep(t, s)) return true;
+      if (UsesStmtDeep(t, s, par)) return true;
     }
   }
   return false;
@@ -400,7 +406,7 @@ void BytecodeCompiler::CompileBlock(const Block* b) {
     if (s->op != Op::kColGet && s->op != Op::kColDict) continue;
     size_t first_use = real.size();
     for (size_t j = i + 1; j < real.size(); ++j) {
-      if (UsesStmtDeep(real[j], s)) {
+      if (UsesStmtDeep(real[j], s, par_)) {
         first_use = j;
         break;
       }
@@ -593,11 +599,11 @@ size_t BytecodeCompiler::TryFuseBranch(const std::vector<const Stmt*>& st,
       visible = ifs->blocks[1]->result == s;
       for (const Stmt* t : ifs->blocks[1]->stmts) {
         if (visible) break;
-        visible = UsesStmtDeep(t, s);
+        visible = UsesStmtDeep(t, s, par_);
       }
     }
     for (size_t j = k + 1; j < st.size() && !visible; ++j) {
-      visible = UsesStmtDeep(st[j], s);
+      visible = UsesStmtDeep(st[j], s, par_);
     }
     if (!visible) deferred.push_back(s);
   }

@@ -24,83 +24,32 @@ using ir::TypeKind;
 
 namespace {
 
-// True when the comparator block only reads shared state: every write goes
-// to a statement register (private per execution context under the
-// parallel sort), so the block can run concurrently on worker threads.
-// Mirrors BytecodeCompiler::SubroutineParallelSafe — the engines may
-// disagree on edge cases (each gate is conservative), but never on
-// results: the sequential and parallel sorts produce identical bytes.
-bool CmpBlockParallelSafe(const Block* b) {
-  for (const Stmt* s : b->stmts) {
-    switch (s->op) {
-      case Op::kConst:
-      case Op::kNull:
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod:
-      case Op::kNeg:
-      case Op::kCast:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLt:
-      case Op::kLe:
-      case Op::kGt:
-      case Op::kGe:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kNot:
-      case Op::kBitAnd:
-      case Op::kStrEq:
-      case Op::kStrNe:
-      case Op::kStrLt:
-      case Op::kStrStartsWith:
-      case Op::kStrEndsWith:
-      case Op::kStrContains:
-      case Op::kStrLike:
-      case Op::kStrLen:
-      case Op::kVarRead:
-      case Op::kVarNew:
-      case Op::kRecGet:
-      case Op::kArrGet:
-      case Op::kArrLen:
-      case Op::kListSize:
-      case Op::kListGet:
-      case Op::kMapGetOrNull:
-      case Op::kMapSize:
-      case Op::kMMapGetOrNull:
-      case Op::kIsNull:
-      case Op::kTableRows:
-      case Op::kColGet:
-      case Op::kColDict:
-      case Op::kIdxBucketLen:
-      case Op::kIdxBucketRow:
-      case Op::kIdxPkRow:
-        break;
-      case Op::kIf:
-        for (const Block* nb : s->blocks) {
-          if (!CmpBlockParallelSafe(nb)) return false;
-        }
-        break;
-      default:
-        // Allocation, interning (kStrSubstr), stores, emits, loops over
-        // mutable containers: keep the sort sequential.
-        return false;
-    }
-  }
-  return true;
-}
-
-// Tree-walk loop safepoint: true when the governed query must abort. Each
-// loop construct checks this on its back edge (and kWhile at the top of
-// every iteration — a while body with no inner loop would otherwise never
-// reach a safepoint, and post-abort condition values must not spin it).
-inline bool GovLoopAbort(parallel::ExecState& st) {
-  return st.gov != nullptr && st.gov->TreeBackEdge();
+// The tree walker is the sequential, ungoverned reference oracle: threads and
+// governance belong to the VM and the JIT, which tests compare against it.
+void RequireSequentialTreeWalk(const InterpOptions& o) {
+  const char* why = o.num_threads > 1       ? "num_threads > 1"
+                    : o.control != nullptr ? "an ExecControl"
+                                           : nullptr;
+  if (why == nullptr) return;
+  std::fprintf(stderr,
+               "exec: the tree walker runs sequentially and ungoverned only "
+               "(given %s)\n",
+               why);
+  std::abort();
 }
 
 }  // namespace
+
+Interpreter::Interpreter(storage::Database* db, InterpOptions opts)
+    : db_(db), opts_(opts), records_(&stats_), vm_(&stats_) {
+  if (opts_.engine == InterpOptions::Engine::kTreeWalk) {
+    RequireSequentialTreeWalk(opts_);
+  } else if (opts_.num_threads > 1) {
+    par_ = std::make_unique<parallel::Engine>(opts_.num_threads,
+                                              opts_.morsel_rows);
+    vm_.SetParallel(par_.get());
+  }
+}
 
 storage::ResultTable Interpreter::Run(const ir::Function& fn) {
   // Single-owner contract (see the class comment): Run() is not
@@ -117,6 +66,10 @@ storage::ResultTable Interpreter::Run(const ir::Function& fn) {
     std::atomic<bool>* flag;
     ~RunGuard() { flag->store(false, std::memory_order_release); }
   } run_guard{&in_run_};
+  // SetControl() may have attached a control after construction.
+  if (opts_.engine == InterpOptions::Engine::kTreeWalk) {
+    RequireSequentialTreeWalk(opts_);
+  }
   ExecControl* ctl = opts_.control;
   last_status_ = QueryStatus();
   if (ctl != nullptr) {
@@ -248,14 +201,11 @@ storage::ResultTable Interpreter::RunTreeWalk(const ir::Function& fn) {
   if (prepared_fn_ != &fn || prepared_name_ != fn.name() ||
       prepared_stmts_ != fn.num_stmts()) {
     emit_types_ = EmitRowTypes(fn);
-    tw_par_ = par_ != nullptr ? ir::AnalyzeParallelism(fn)
-                              : ir::ParallelInfo();
     prepared_fn_ = &fn;
     prepared_name_ = fn.name();
     prepared_stmts_ = fn.num_stmts();
   }
   // Release the previous run's working set (results own their strings).
-  if (par_ != nullptr) par_->ReleaseRun();
   lists_.clear();
   arrays_.clear();
   maps_.clear();
@@ -275,54 +225,15 @@ storage::ResultTable Interpreter::RunTreeWalk(const ir::Function& fn) {
   st.mmaps = &mmaps_;
   st.strings = &strings_;
   st.out = &out_;
-  // Governance: loop back edges call GovState::TreeBackEdge through st.gov
-  // (null when ungoverned — the checks vanish behind one pointer test).
-  if (opts_.control != nullptr) {
-    tw_gov_.Attach(opts_.control, &stats_);
-    records_.SetGovernor(&tw_gov_);
-    st.gov = &tw_gov_;
-  } else {
-    records_.SetGovernor(nullptr);
-  }
   {
-    telemetry::ScopedSpan span(
-        "exec", "exec", "threads", par_ != nullptr ? opts_.num_threads : 1);
+    telemetry::ScopedSpan span("exec", "exec", "threads", 1);
     ExecBlock(st, fn.body());
-  }
-  if (opts_.control != nullptr && opts_.control->Tripped()) {
-    last_status_ = opts_.control->status();
-    return storage::ResultTable();
   }
   return std::move(out_);
 }
 
 void Interpreter::ExecBlock(parallel::ExecState& st, const Block* b) {
-  if (st.par == nullptr) {
-    for (const Stmt* s : b->stmts) ExecStmt(st, s);
-    return;
-  }
-  // Morsel mode: the action table skips the f64-sum clusters and appends
-  // their addends to the morsel's log instead.
-  for (const Stmt* s : b->stmts) {
-    switch (st.par->actions[s->id]) {
-      case ir::ParAction::kSkip:
-        break;
-      case ir::ParAction::kLog:
-        AppendLog(st, s);
-        break;
-      case ir::ParAction::kNormal:
-        ExecStmt(st, s);
-        break;
-    }
-  }
-}
-
-void Interpreter::AppendLog(parallel::ExecState& st, const Stmt* s) {
-  const ir::ParLogChannel& ch =
-      st.par->logs[st.par->action_channel[s->id]];
-  std::vector<Slot>& lg = st.morsel->logs[st.par->action_channel[s->id]];
-  if (ch.handle != nullptr) lg.push_back(Val(st, ch.handle));
-  for (const Stmt* v : ch.values) lg.push_back(Val(st, v));
+  for (const Stmt* s : b->stmts) ExecStmt(st, s);
 }
 
 bool Interpreter::BlockCond(parallel::ExecState& st, const Block* b) {
@@ -330,63 +241,8 @@ bool Interpreter::BlockCond(parallel::ExecState& st, const Block* b) {
   return Val(st, b->result).i != 0;
 }
 
-bool Interpreter::TreeParallelLoop(parallel::ExecState& st,
-                                   const ir::ParLoop& plan, const Stmt* s) {
-  // Statement ids are the tree walker's registers, so the bindings the
-  // runtime needs are read straight off the plan.
-  std::vector<uint32_t> red_regs;
-  std::vector<uint32_t> red_size_regs;
-  std::vector<uint32_t> channel_var_regs;
-  for (const ir::ParReduction& r : plan.reductions) {
-    red_regs.push_back(static_cast<uint32_t>(r.target->id));
-    red_size_regs.push_back(
-        r.size != nullptr ? static_cast<uint32_t>(r.size->id) : 0);
-  }
-  for (const ir::ParLogChannel& ch : plan.logs) {
-    channel_var_regs.push_back(
-        ch.var != nullptr ? static_cast<uint32_t>(ch.var->id) : 0);
-  }
-  const Block* body = s->blocks[0];
-  const Stmt* ivar = body->params[0];
-  // Snapshot of the register file at loop entry: the overlapped merge
-  // updates accumulator registers in the live file while workers start.
-  std::vector<Slot> entry_regs(st.regs, st.regs + regs_.size());
-
-  parallel::LoopRun run;
-  run.plan = &plan;
-  run.lo = Val(st, s->args[0]).i;
-  run.hi = Val(st, s->args[1]).i;
-  run.main_regs = st.regs;
-  run.red_regs = &red_regs;
-  run.red_size_regs = &red_size_regs;
-  run.channel_var_regs = &channel_var_regs;
-  run.stats = st.stats;
-  run.out = st.out;
-  run.emit_types = &emit_types_;
-  run.ctl = opts_.control;
-  run.body = [&](int64_t mlo, int64_t mhi, parallel::MorselState& ms) {
-    ms.regs = entry_regs;
-    for (size_t i = 0; i < red_regs.size(); ++i) {
-      ms.regs[red_regs[i]] = ms.priv[i];
-    }
-    // Per-morsel governance over the morsel's private stats; a trip
-    // mid-morsel breaks the row loop at the next back edge.
-    ms.gov.Attach(opts_.control, &ms.stats);
-    ms.records.SetGovernor(&ms.gov);
-    parallel::ExecState ws = ms.MakeState();
-    ws.par = &plan;
-    for (int64_t i = mlo; i < mhi; ++i) {
-      ws.regs[ivar->id] = SlotI(i);
-      ExecBlock(ws, body);
-      if (GovLoopAbort(ws)) break;
-    }
-  };
-  return parallel::RunForRange(*par_, run);
-}
-
 void Interpreter::SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
                             const Stmt* s) {
-  const Block* cmp_block = s->blocks[0];
   struct TwCmp : SlotCmp {
     Interpreter* in;
     parallel::ExecState* st;
@@ -397,52 +253,11 @@ void Interpreter::SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
       return in->BlockCond(*st, blk);
     }
   };
-  // The purity verdict depends only on the (immutable) comparator block;
-  // memoized so in-loop sorts don't re-walk it every iteration. The cache
-  // is main-thread-only state: it must stay behind the morsel gate, since
-  // worker threads also reach here for loop-local sorts inside fragments.
-  bool cmp_safe = false;
-  if (par_ != nullptr && st.morsel == nullptr) {
-    auto safe_it = cmp_safe_.find(s);
-    if (safe_it == cmp_safe_.end()) {
-      safe_it = cmp_safe_.emplace(s, CmpBlockParallelSafe(cmp_block)).first;
-    }
-    cmp_safe = safe_it->second;
-  }
-  if (cmp_safe) {
-    // Each parallel task's comparator runs on a private register-file copy;
-    // the live file is never touched, which is safe because a pure
-    // comparator's register writes are all block-local temporaries.
-    struct ParCmp : SlotCmp {
-      Interpreter* in;
-      std::vector<Slot> regs;
-      parallel::ExecState ws;
-      const Block* blk;
-      bool Less(Slot a, Slot b) override {
-        in->Set(ws, blk->params[0], a);
-        in->Set(ws, blk->params[1], b);
-        return in->BlockCond(ws, blk);
-      }
-    };
-    auto make_cmp = [&]() -> std::unique_ptr<SlotCmp> {
-      auto cmp = std::make_unique<ParCmp>();
-      cmp->in = this;
-      cmp->regs.assign(st.regs, st.regs + regs_.size());
-      cmp->ws = st;
-      cmp->ws.regs = cmp->regs.data();
-      cmp->blk = cmp_block;
-      // Governed: a tripped query drains the in-flight sort in linear time
-      // (comparators return false once aborted).
-      return std::make_unique<GovernedCmpOwned>(std::move(cmp), st.gov);
-    };
-    if (parallel::ParallelStableSort(*par_, data, n, make_cmp)) return;
-  }
   TwCmp cmp;
   cmp.in = this;
   cmp.st = &st;
-  cmp.blk = cmp_block;
-  GovernedCmp gcmp(cmp, st.gov);
-  StableSortSlots(data, n, gcmp);
+  cmp.blk = s->blocks[0];
+  StableSortSlots(data, n, cmp);
 }
 
 void Interpreter::ExecStmt(parallel::ExecState& st, const Stmt* s) {
@@ -623,12 +438,6 @@ void Interpreter::ExecStmt(parallel::ExecState& st, const Stmt* s) {
       }
       break;
     case Op::kForRange: {
-      // Qualifying top-level loops run morsel-parallel when a pool is
-      // attached; nested loops and morsel re-entry stay sequential.
-      if (par_ != nullptr && st.morsel == nullptr) {
-        const ir::ParLoop* plan = tw_par_.Find(s);
-        if (plan != nullptr && TreeParallelLoop(st, *plan, s)) break;
-      }
       int64_t lo = Val(st, s->args[0]).i;
       int64_t hi = Val(st, s->args[1]).i;
       const Block* body = s->blocks[0];
@@ -636,12 +445,11 @@ void Interpreter::ExecStmt(parallel::ExecState& st, const Stmt* s) {
       for (int64_t i = lo; i < hi; ++i) {
         Set(st, ivar, SlotI(i));
         ExecBlock(st, body);
-        if (GovLoopAbort(st)) break;
       }
       break;
     }
     case Op::kWhile:
-      while (!GovLoopAbort(st) && BlockCond(st, s->blocks[0])) {
+      while (BlockCond(st, s->blocks[0])) {
         ExecBlock(st, s->blocks[1]);
       }
       break;
@@ -714,7 +522,6 @@ void Interpreter::ExecStmt(parallel::ExecState& st, const Stmt* s) {
       for (size_t i = 0; i < l->items.size(); ++i) {
         Set(st, e, l->items[i]);
         ExecBlock(st, body);
-        if (GovLoopAbort(st)) break;
       }
       break;
     }
@@ -765,7 +572,6 @@ void Interpreter::ExecStmt(parallel::ExecState& st, const Stmt* s) {
         Set(st, body->params[0], n->key);
         Set(st, body->params[1], n->value);
         ExecBlock(st, body);
-        if (GovLoopAbort(st)) break;
       }
       break;
     }

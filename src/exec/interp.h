@@ -1,6 +1,6 @@
 // In-process execution of the ANF IR. Every DSL level of the stack is
-// directly executable (the paper's "each DSL is executable" property): both
-// engines implement the full construct set, from generic MultiMaps at
+// directly executable (the paper's "each DSL is executable" property): every
+// engine implements the full construct set, from generic MultiMaps at
 // ScaLite[Map,List] down to malloc/pool operations at C.Lite. Compiled
 // queries at different stack levels therefore run on identical machinery and
 // differ only in the code the compiler produced — which is exactly what
@@ -15,12 +15,13 @@
 //     the copy-and-patch backend (src/jit/), with per-instruction deopt
 //     into the VM; degrades silently to kBytecode where unsupported.
 //   * kTreeWalk — the original pointer-walking interpreter, kept as the
-//     executable-semantics reference and as an escape hatch.
+//     executable-semantics reference oracle. It runs sequentially and
+//     ungoverned only.
 //
-// Both engines support morsel-driven parallel execution of qualifying scan
-// loops (exec/parallel.h): InterpOptions::num_threads > 1 attaches a
+// The VM and the JIT support morsel-driven parallel execution of qualifying
+// scan loops (exec/parallel.h): InterpOptions::num_threads > 1 attaches a
 // persistent worker pool, and results stay bitwise identical to the
-// sequential run at every thread count.
+// sequential run — and to the tree walker — at every thread count.
 #ifndef QC_EXEC_INTERP_H_
 #define QC_EXEC_INTERP_H_
 
@@ -53,7 +54,8 @@ struct InterpOptions {
   };
   Engine engine = Engine::kBytecode;
 
-  // Morsel-driven parallelism (both engines). 1 = sequential execution,
+  // Morsel-driven parallelism (VM and JIT; the tree walker aborts on any
+  // value above 1). 1 = sequential execution,
   // byte-for-byte the pre-parallel engine with zero overhead. N > 1 runs
   // qualifying top-level scan loops (ir/parallel.h) on a persistent pool
   // of N threads (the calling thread participates); results are bitwise
@@ -61,11 +63,12 @@ struct InterpOptions {
   int num_threads = 1;
   int64_t morsel_rows = 16384;  // rows per morsel in parallel mode
 
-  // Query governance (exec/governor.h): when non-null, every Run() polls
-  // this control at safepoints (loop back edges, morsel boundaries, JIT'd
-  // loop heads) and unwinds within one safepoint interval of a
-  // cancellation, deadline, or memory-budget trip. Owned by the caller;
-  // null = ungoverned (zero safepoint slow paths). Inspect the outcome via
+  // Query governance (exec/governor.h; VM and JIT — the tree walker aborts
+  // on a non-null control): when non-null, every Run() polls this control
+  // at safepoints (loop back edges, morsel boundaries, JIT'd loop heads)
+  // and unwinds within one safepoint interval of a cancellation, deadline,
+  // or memory-budget trip. Owned by the caller; null = ungoverned (zero
+  // safepoint slow paths). Inspect the outcome via
   // Interpreter::last_status().
   ExecControl* control = nullptr;
 };
@@ -78,18 +81,13 @@ struct InterpOptions {
 // and share only the immutable Database and ir::Functions. Run() enforces
 // this with a non-reentrancy guard that aborts loudly on violation.
 // Parallelism *within* one query is different and fully supported: it runs
-// on the Interpreter's own WorkerPool (num_threads > 1).
+// on the Interpreter's own WorkerPool (VM and JIT, num_threads > 1).
 class Interpreter {
  public:
+  // kTreeWalk with num_threads > 1 or a control aborts with a one-line
+  // reason; the tree walker builds no worker pool.
   explicit Interpreter(storage::Database* db,
-                       InterpOptions opts = InterpOptions())
-      : db_(db), opts_(opts), records_(&stats_), vm_(&stats_) {
-    if (opts_.num_threads > 1) {
-      par_ = std::make_unique<parallel::Engine>(opts_.num_threads,
-                                                opts_.morsel_rows);
-      vm_.SetParallel(par_.get());
-    }
-  }
+                       InterpOptions opts = InterpOptions());
 
   // Executes the function; rows produced by kEmit statements form the
   // result. Cached per-function state (bytecode, emit types, register
@@ -108,7 +106,8 @@ class Interpreter {
   const QueryStatus& last_status() const { return last_status_; }
 
   // Replaces the governance control for subsequent Run() calls (null
-  // detaches; same semantics as InterpOptions::control).
+  // detaches; same semantics as InterpOptions::control, so a kTreeWalk
+  // Run() with a control attached aborts).
   void SetControl(ExecControl* ctl) { opts_.control = ctl; }
 
   // QC_JIT_STATS telemetry for the most recent kJit Run: native coverage
@@ -142,17 +141,10 @@ class Interpreter {
   void ExecBlock(parallel::ExecState& st, const ir::Block* b);
   void ExecStmt(parallel::ExecState& st, const ir::Stmt* s);
   bool BlockCond(parallel::ExecState& st, const ir::Block* b);
-  // Morsel-parallel execution of one qualifying kForRange; false = run it
-  // sequentially.
-  bool TreeParallelLoop(parallel::ExecState& st, const ir::ParLoop& plan,
-                        const ir::Stmt* s);
   // kArrSortBy/kListSortBy: the shared stable merge core (exec/runtime.h),
-  // morsel-parallel when a pool is attached and the comparator block is
-  // provably pure; sequential otherwise. Output is bitwise identical
-  // either way.
+  // which the VM and JIT sorts use too.
   void SortSlots(parallel::ExecState& st, Slot* data, int64_t n,
                  const ir::Stmt* s);
-  void AppendLog(parallel::ExecState& st, const ir::Stmt* s);
 
   static const char* Intern(parallel::ExecState& st, std::string s) {
     st.strings->push_back(std::move(s));
@@ -194,18 +186,12 @@ class Interpreter {
   std::unordered_map<const ir::Function*, CachedProgram> programs_;
   JitRunStats jit_stats_;
   QueryStatus last_status_;
-  GovState tw_gov_;  // tree-walk main-context governance state
 
-  // Tree-walk engine: emit types and the parallel analysis discovered once
-  // per function, not per Run. cmp_safe_ memoizes the comparator purity
-  // scan per sort statement (same lifetime caveat as the program cache:
-  // statements must outlive the Interpreter).
-  std::unordered_map<const ir::Stmt*, bool> cmp_safe_;
+  // Tree-walk engine: emit types discovered once per function, not per Run.
   const ir::Function* prepared_fn_ = nullptr;
   std::string prepared_name_;
   int prepared_stmts_ = -1;
   std::vector<storage::ColType> emit_types_;
-  ir::ParallelInfo tw_par_;
 };
 
 }  // namespace qc::exec

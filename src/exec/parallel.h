@@ -1,4 +1,5 @@
-// Morsel-driven parallel execution (HyPer style) for both IR engines.
+// Morsel-driven parallel execution (HyPer style) for the bytecode VM and the
+// JIT. The tree walker runs sequentially only: it is the reference oracle.
 //
 // A qualifying top-level scan loop (ir/parallel.h decides which qualify) is
 // split into fixed-size row-range morsels pulled work-stealing-style off a
@@ -27,9 +28,8 @@
 // list buffers), so Figure 8 numbers are engine- and thread-count-
 // independent.
 //
-// The engines share everything here; they differ only in the
-// `LoopRun::body` callback that executes one morsel (the JIT engine reuses
-// the bytecode VM's callback — its hybrid driver runs per worker).
+// The VM supplies the `LoopRun::body` callback that executes one morsel;
+// the JIT engine reuses it — its hybrid driver runs per worker.
 #ifndef QC_EXEC_PARALLEL_H_
 #define QC_EXEC_PARALLEL_H_
 
@@ -54,9 +54,9 @@ namespace qc::exec::parallel {
 
 struct MorselState;
 
-// Execution context threaded through both engines: the register file plus
+// Execution context threaded through the engines: the register file plus
 // every piece of per-run mutable state. The main run points at the
-// engine's own storage; a morsel run points into a MorselState.
+// engine's own storage; a VM morsel run points into a MorselState.
 struct ExecState {
   Slot* regs = nullptr;
   AllocStats* stats = nullptr;
@@ -67,9 +67,8 @@ struct ExecState {
   std::deque<RtMultiMap>* mmaps = nullptr;
   std::deque<std::string>* strings = nullptr;
   storage::ResultTable* out = nullptr;
-  MorselState* morsel = nullptr;       // log sink during a morsel run
-  const ir::ParLoop* par = nullptr;    // tree walker: morsel action table
-  GovState* gov = nullptr;             // governance state (may be unattached)
+  MorselState* morsel = nullptr;  // set during a morsel run
+  GovState* gov = nullptr;        // governance state (may be unattached)
 };
 
 // All worker-local state of one morsel. What the merged result may point

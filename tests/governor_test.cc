@@ -1,6 +1,6 @@
 // Query governance (exec/governor.h) + fault injection (common/fault.h):
 // a cancelled / over-deadline / over-budget query must unwind within one
-// safepoint interval on every engine {tree walk, bytecode VM, JIT} at every
+// safepoint interval on every governed engine {bytecode VM, JIT} at every
 // thread count, surface a structured QueryStatus, and leave the Interpreter
 // fully reusable — the same instance then executes a fresh query bit-exactly
 // (pools, heaps, code buffers, program caches intact). The chaos sweep arms
@@ -32,10 +32,11 @@ using exec::InterpOptions;
 using exec::QueryStatusCode;
 using ir::Stmt;
 
+// The governed engines; the tree walker runs ungoverned only.
 const InterpOptions::Engine kEngines[] = {InterpOptions::Engine::kBytecode,
-                                          InterpOptions::Engine::kTreeWalk,
                                           InterpOptions::Engine::kJit};
-const char* kEngineNames[] = {"bytecode", "treewalk", "jit"};
+const char* kEngineNames[] = {"bytecode", "jit"};
+constexpr int kNumEngines = 2;
 
 InterpOptions Opts(InterpOptions::Engine e, int threads,
                    ExecControl* ctl = nullptr, int64_t morsel_rows = 2048) {
@@ -208,7 +209,7 @@ const storage::ResultTable& BigAllocWant() {
 // ---------------------------------------------------------------------------
 
 TEST(GovernorTest, CancelBeforeRunTripsAndInterpreterStaysReusable) {
-  for (int e = 0; e < 3; ++e) {
+  for (int e = 0; e < kNumEngines; ++e) {
     for (int threads : {1, 4}) {
       std::string tag = std::string(kEngineNames[e]) + " threads=" +
                         std::to_string(threads);
@@ -230,7 +231,7 @@ TEST(GovernorTest, CancelBeforeRunTripsAndInterpreterStaysReusable) {
 }
 
 TEST(GovernorTest, PastDeadlineTripsAtPreRunPoll) {
-  for (int e = 0; e < 3; ++e) {
+  for (int e = 0; e < kNumEngines; ++e) {
     for (int threads : {1, 4}) {
       std::string tag = std::string(kEngineNames[e]) + " threads=" +
                         std::to_string(threads);
@@ -251,7 +252,7 @@ TEST(GovernorTest, MidRunDeadlineUnwindsWithinSafepointInterval) {
   // 2e9 while-loop iterations would take seconds to minutes ungoverned;
   // a 3 ms deadline must stop each engine within a safepoint interval.
   // The generous wall-clock bound only catches a governance no-op.
-  for (int e = 0; e < 3; ++e) {
+  for (int e = 0; e < kNumEngines; ++e) {
     for (int threads : {1, 4}) {
       std::string tag = std::string(kEngineNames[e]) + " threads=" +
                         std::to_string(threads);
@@ -272,7 +273,7 @@ TEST(GovernorTest, MidRunDeadlineUnwindsWithinSafepointInterval) {
 
 TEST(GovernorTest, MemoryBudgetTripsOnTrackedGrowth) {
   ScopedEnv interval("QC_GOV_INTERVAL", "64");  // publish growth promptly
-  for (int e = 0; e < 3; ++e) {
+  for (int e = 0; e < kNumEngines; ++e) {
     for (int threads : {1, 4}) {
       std::string tag = std::string(kEngineNames[e]) + " threads=" +
                         std::to_string(threads);
@@ -304,7 +305,7 @@ TEST(GovernorTest, CancelSweepAcrossAwkwardBoundaries) {
   const long kNth[] = {1, 2, 3, 7, 50, 4000, 30000, 250000};
   for (long nth : kNth) {
     ScopedEnv fault("QC_FAULT", "gov_trip:" + std::to_string(nth));
-    for (int e = 0; e < 3; ++e) {
+    for (int e = 0; e < kNumEngines; ++e) {
       for (int threads : {1, 2, 4}) {
         std::string tag = std::string(kEngineNames[e]) + " threads=" +
                           std::to_string(threads) + " nth=" +
@@ -373,7 +374,7 @@ TEST(GovernorChaosTest, EverySiteEveryEngineFailsCleanOrSucceedsExact) {
                           "jit_mprotect", "cc_cache_write"};
   for (const char* site : kSites) {
     for (long nth : {1L, 5L}) {
-      for (int e = 0; e < 3; ++e) {
+      for (int e = 0; e < kNumEngines; ++e) {
         for (int threads : {1, 4}) {
           std::string spec = std::string(site) + ":" + std::to_string(nth);
           std::string tag = spec + " " + kEngineNames[e] + " threads=" +
@@ -404,7 +405,7 @@ TEST(GovernorChaosTest, InjectedAllocationFailureSurfacesResourceStatus) {
   // model: the allocation itself still succeeds, the query is killed at the
   // next safepoint).
   ScopedEnv interval("QC_GOV_INTERVAL", "1");
-  for (int e = 0; e < 3; ++e) {
+  for (int e = 0; e < kNumEngines; ++e) {
     ScopedEnv fault("QC_FAULT", "alloc_heap:1");
     std::string tag = std::string(kEngineNames[e]) + " alloc_heap";
     ExecControl ctl;

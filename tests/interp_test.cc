@@ -3,6 +3,7 @@
 // executable DSL level runs on the same machinery ("each DSL is executable").
 #include <gtest/gtest.h>
 
+#include "exec/governor.h"
 #include "exec/interp.h"
 #include "ir/builder.h"
 #include "storage/database.h"
@@ -176,6 +177,66 @@ TEST(Interp, StringOps) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(r.row(0)[i].i, 1);
   EXPECT_EQ(r.row(0)[5].i, 11);
   EXPECT_STREQ(r.row(0)[6].s, "world");
+}
+
+// The tree walker is the sequential, ungoverned reference oracle: threads
+// and governance belong to the bytecode VM and the JIT, and asking the tree
+// walker for either aborts with a one-line reason.
+exec::InterpOptions TreeWalkOpts() {
+  exec::InterpOptions o;
+  o.engine = exec::InterpOptions::Engine::kTreeWalk;
+  return o;
+}
+
+// sum(1..10) in a loop: enough to reach the engine.
+void BuildSumLoop(Function* fn) {
+  Builder b(fn);
+  Stmt* sum = b.VarNew(b.I64(0));
+  b.ForRange(b.I64(1), b.I64(11), [&](Stmt* i) {
+    b.VarAssign(sum, b.Add(b.VarRead(sum), i));
+  });
+  b.EmitRow({b.VarRead(sum)});
+}
+
+constexpr char kSequentialOnly[] =
+    "tree walker runs sequentially and ungoverned";
+
+TEST(InterpDeathTest, TreeWalkRejectsThreads) {
+  storage::Database db = EmptyDb();
+  exec::InterpOptions o = TreeWalkOpts();
+  o.num_threads = 2;
+  EXPECT_DEATH({ exec::Interpreter in(&db, o); }, kSequentialOnly);
+}
+
+TEST(InterpDeathTest, TreeWalkRejectsControlOption) {
+  storage::Database db = EmptyDb();
+  TypeFactory types;
+  Function fn("f", &types);
+  BuildSumLoop(&fn);
+  exec::ExecControl ctl;
+  exec::InterpOptions o = TreeWalkOpts();
+  o.control = &ctl;
+  EXPECT_DEATH(
+      {
+        exec::Interpreter in(&db, o);
+        in.Run(fn);
+      },
+      kSequentialOnly);
+}
+
+TEST(InterpDeathTest, TreeWalkRejectsSetControl) {
+  storage::Database db = EmptyDb();
+  TypeFactory types;
+  Function fn("f", &types);
+  BuildSumLoop(&fn);
+  exec::Interpreter in(&db, TreeWalkOpts());
+  EXPECT_EQ(in.Run(fn).row(0)[0].i, 55);
+  exec::ExecControl ctl;
+  in.SetControl(&ctl);
+  EXPECT_DEATH(in.Run(fn), kSequentialOnly);
+  // Detaching restores the ungoverned oracle.
+  in.SetControl(nullptr);
+  EXPECT_EQ(in.Run(fn).row(0)[0].i, 55);
 }
 
 }  // namespace

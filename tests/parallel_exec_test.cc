@@ -1,9 +1,11 @@
 // Morsel-driven parallel execution (exec/parallel.h): results must be
 // BITWISE identical to the sequential engines — same row order, same f64
 // bit patterns, same string contents — for every TPC-H query, at every
-// tested thread count and morsel size, on both engines. The f64-addend
-// replay makes this exact (not approximate) even for floating-point sums,
-// so these tests compare bit patterns, not canonical text.
+// tested thread count and morsel size, on the bytecode VM and the JIT. The
+// f64-addend replay makes this exact (not approximate) even for
+// floating-point sums, so these tests compare bit patterns, not canonical
+// text. The tree walker, which runs sequentially only, is the reference
+// oracle: it must match the single-threaded VM bit for bit.
 //
 // Figure 8 accounting is asserted too: AllocStats of a parallel run must
 // equal the sequential run's exactly (AllocStats::MergeFrom + the merge
@@ -71,9 +73,9 @@ storage::Database* TpchDb() {
   return db;
 }
 
-const InterpOptions::Engine kAllEngines[] = {InterpOptions::Engine::kBytecode,
-                                             InterpOptions::Engine::kTreeWalk,
-                                             InterpOptions::Engine::kJit};
+// The engines that run morsel-parallel; the tree walker is sequential only.
+const InterpOptions::Engine kThreadedEngines[] = {
+    InterpOptions::Engine::kBytecode, InterpOptions::Engine::kJit};
 
 const char* EngineName(InterpOptions::Engine e) {
   switch (e) {
@@ -85,6 +87,17 @@ const char* EngineName(InterpOptions::Engine e) {
       return "jit";
   }
   return "?";
+}
+
+// The sequential oracle: the tree walker at one thread must reproduce the
+// single-threaded bytecode VM's result and AllocStats exactly.
+void ExpectTreeWalkMatches(storage::Database* db, const ir::Function& fn,
+                           const storage::ResultTable& want,
+                           const exec::AllocStats& want_stats,
+                           const std::string& tag) {
+  exec::Interpreter tree(db, Opts(InterpOptions::Engine::kTreeWalk, 1));
+  ExpectBitExact(tree.Run(fn), want, tag + " treewalk");
+  ExpectStatsEqual(tree.stats(), want_stats, tag + " treewalk");
 }
 
 size_t CountOccurrences(const std::string& hay, const std::string& needle) {
@@ -113,24 +126,23 @@ class ParallelExecTpchTest : public ::testing::TestWithParam<int> {
  protected:
   static storage::Database* db() { return TpchDb(); }
 
-  // Runs `fn` sequentially as the reference, then across engines x thread
-  // counts x a second morsel size, asserting bitwise equality and exact
-  // AllocStats agreement every time.
+  // Runs `fn` sequentially as the reference, checks the tree-walk oracle
+  // against it, then runs the threaded engines across thread counts x a
+  // second morsel size, asserting bitwise equality and exact AllocStats
+  // agreement every time.
   static void CheckAllConfigs(const ir::Function& fn,
                               const std::string& tag) {
     exec::Interpreter ref(db(), Opts(InterpOptions::Engine::kBytecode, 1));
     storage::ResultTable want = ref.Run(fn);
+    ExpectTreeWalkMatches(db(), fn, want, ref.stats(), tag);
 
-    const InterpOptions::Engine engines[] = {
-        InterpOptions::Engine::kBytecode, InterpOptions::Engine::kTreeWalk};
-    const char* names[] = {"bytecode", "treewalk"};
-    for (int e = 0; e < 2; ++e) {
+    for (InterpOptions::Engine e : kThreadedEngines) {
       exec::AllocStats seq_stats;
       for (int threads : {1, 2, 4}) {
-        exec::Interpreter interp(db(), Opts(engines[e], threads));
+        exec::Interpreter interp(db(), Opts(e, threads));
         storage::ResultTable got = interp.Run(fn);
         std::string t =
-            tag + " " + names[e] + " threads=" + std::to_string(threads);
+            tag + " " + EngineName(e) + " threads=" + std::to_string(threads);
         ExpectBitExact(got, want, t);
         if (threads == 1) {
           seq_stats = interp.stats();
@@ -140,11 +152,11 @@ class ParallelExecTpchTest : public ::testing::TestWithParam<int> {
       }
       // An odd morsel size exercises boundary handling and many-morsel
       // merges; results must not depend on the decomposition.
-      exec::Interpreter odd(db(), Opts(engines[e], 3, 777));
+      exec::Interpreter odd(db(), Opts(e, 3, 777));
       storage::ResultTable got = odd.Run(fn);
-      ExpectBitExact(got, want, tag + " " + names[e] + " morsel=777");
+      ExpectBitExact(got, want, tag + " " + EngineName(e) + " morsel=777");
       ExpectStatsEqual(odd.stats(), seq_stats,
-                       tag + " " + names[e] + " morsel=777");
+                       tag + " " + EngineName(e) + " morsel=777");
     }
   }
 };
@@ -226,17 +238,56 @@ TEST(ParallelScalarReductionTest, SumCountMinMaxMatchSequential) {
     ++want_cnt;
   }
 
-  for (auto engine : {InterpOptions::Engine::kBytecode,
-                      InterpOptions::Engine::kTreeWalk}) {
+  exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
+  storage::ResultTable want = ref.Run(fn);
+  ExpectTreeWalkMatches(&db, fn, want, ref.stats(), "scalar");
+  for (InterpOptions::Engine engine : kThreadedEngines) {
     for (int threads : {1, 4}) {
+      std::string tag =
+          std::string(EngineName(engine)) + " threads=" +
+          std::to_string(threads);
       exec::Interpreter interp(&db, Opts(engine, threads, 512));
       storage::ResultTable r = interp.Run(fn);
       ASSERT_EQ(r.size(), 1u);
-      EXPECT_EQ(r.row(0)[0].i, want_sum) << "sum, threads=" << threads;
-      EXPECT_EQ(r.row(0)[1].d, want_fsum) << "fsum, threads=" << threads;
-      EXPECT_EQ(r.row(0)[2].i, want_cnt) << "count, threads=" << threads;
-      EXPECT_EQ(r.row(0)[3].i, want_mn) << "min, threads=" << threads;
-      EXPECT_EQ(r.row(0)[4].i, want_mx) << "max, threads=" << threads;
+      EXPECT_EQ(r.row(0)[0].i, want_sum) << "sum, " << tag;
+      EXPECT_EQ(r.row(0)[1].d, want_fsum) << "fsum, " << tag;
+      EXPECT_EQ(r.row(0)[2].i, want_cnt) << "count, " << tag;
+      EXPECT_EQ(r.row(0)[3].i, want_mn) << "min, " << tag;
+      EXPECT_EQ(r.row(0)[4].i, want_mx) << "max, " << tag;
+      ExpectBitExact(r, want, tag);
+    }
+  }
+}
+
+// An f64 sum whose addend is a column read that a later min guard compares
+// too (a shape the property test's random plans produce). The bytecode
+// compiler sinks each column read to just before its first consumer; in a
+// morsel fragment that consumer is the kLogRow logging the addend, not the
+// min guard — sunk past the log, the read would log the previous row.
+TEST(ParallelScalarReductionTest, LoggedColumnAddendAlsoFeedsMinGuard) {
+  qplan::PlanPtr plan = qplan::AggOp(
+      qplan::ScanOp("lineitem"), {},
+      {qplan::Sum(qplan::Col("l_extendedprice"), "s"),
+       qplan::Min(qplan::Col("l_extendedprice"), "mn")});
+  qplan::ResolvePlan(plan.get(), *TpchDb());
+  ir::TypeFactory types;
+  QueryCompiler qc(TpchDb(), &types);
+  for (int level : {2, 5}) {
+    compiler::CompileResult res =
+        qc.Compile(*plan, StackConfig::Level(level), "sum_min");
+    std::string lvl = "L" + std::to_string(level);
+    exec::Interpreter ref(TpchDb(), Opts(InterpOptions::Engine::kBytecode, 1));
+    storage::ResultTable want = ref.Run(*res.fn);
+    ExpectTreeWalkMatches(TpchDb(), *res.fn, want, ref.stats(), lvl);
+    for (InterpOptions::Engine e : kThreadedEngines) {
+      for (int64_t morsel : {509, 2048}) {
+        std::string tag = lvl + " " + EngineName(e) +
+                          " morsel=" + std::to_string(morsel);
+        exec::Interpreter interp(TpchDb(), Opts(e, 4, morsel));
+        storage::ResultTable got;
+        EXPECT_EQ(TracedParLoops(&interp, *res.fn, &got), 1u) << tag;
+        ExpectBitExact(got, want, tag);
+      }
     }
   }
 }
@@ -274,11 +325,10 @@ TEST(ParallelSkewedKeyTest, HotKeyChainsMergeInRowOrder) {
   exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
   storage::ResultTable want = ref.Run(fn);
   ASSERT_EQ(want.size(), static_cast<size_t>(kRows));
-  for (auto engine : {InterpOptions::Engine::kBytecode,
-                      InterpOptions::Engine::kTreeWalk}) {
+  ExpectTreeWalkMatches(&db, fn, want, ref.stats(), "skewed");
+  for (InterpOptions::Engine engine : kThreadedEngines) {
     exec::AllocStats seq_stats;
-    const char* name =
-        engine == InterpOptions::Engine::kBytecode ? "bytecode" : "treewalk";
+    const char* name = EngineName(engine);
     for (int threads : {1, 2, 4}) {
       // Morsel size 509: ~118 morsels, so every hot chain is stitched from
       // over a hundred per-morsel fragments.
@@ -327,7 +377,9 @@ TEST(ParallelArrayGateTest, GroupArrayLoopsStillRunInParallel) {
         qc.Compile(*plan, StackConfig::Level(5), "q" + std::to_string(c.q));
     exec::Interpreter ref(TpchDb(), Opts(InterpOptions::Engine::kBytecode, 1));
     storage::ResultTable want = ref.Run(*res.fn);
-    for (InterpOptions::Engine e : kAllEngines) {
+    ExpectTreeWalkMatches(TpchDb(), *res.fn, want, ref.stats(),
+                          "Q" + std::to_string(c.q));
+    for (InterpOptions::Engine e : kThreadedEngines) {
       std::string tag = "Q" + std::to_string(c.q) + " " + EngineName(e) +
                         " morsel=" + std::to_string(c.morsel_rows);
       exec::Interpreter interp(TpchDb(), Opts(e, 4, c.morsel_rows));
@@ -383,7 +435,8 @@ TEST(ParallelArrayGateTest, ArrayLargerThanMorselRunsSequentially) {
   exec::Interpreter ref(&db, Opts(InterpOptions::Engine::kBytecode, 1));
   storage::ResultTable want = ref.Run(fn);
   ASSERT_EQ(want.size(), static_cast<size_t>(kSlots));
-  for (InterpOptions::Engine e : kAllEngines) {
+  ExpectTreeWalkMatches(&db, fn, want, ref.stats(), "wide group array");
+  for (InterpOptions::Engine e : kThreadedEngines) {
     exec::AllocStats seq_stats;
     for (int threads : {1, 2, 4}) {
       std::string tag =
@@ -448,7 +501,8 @@ TEST(ParallelMapRemapTest, ManyGroupsF64SumBitExact) {
   storage::ResultTable want = ref.Run(fn);
   ASSERT_EQ(want.size(), static_cast<size_t>(kGroups));
   exec::AllocStats seq_stats = ref.stats();
-  for (InterpOptions::Engine e : kAllEngines) {
+  ExpectTreeWalkMatches(&db, fn, want, seq_stats, "map remap");
+  for (InterpOptions::Engine e : kThreadedEngines) {
     for (int64_t morsel : {7, 509}) {
       for (int threads : {2, 4}) {
         std::string tag = std::string(EngineName(e)) +

@@ -3,7 +3,13 @@
 // random shape, random grouped/global aggregations — and checks that every
 // stack configuration produces exactly the Volcano oracle's rows. This
 // sweeps plan shapes the hand-written TPC-H queries do not cover.
+//
+// At every level the sequential tree walker is the differential oracle for
+// the threaded engines: the VM and the JIT at 4 threads with odd-sized
+// morsels must reproduce its rows position by position and bit for bit.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/rng.h"
 #include "compiler/compiler.h"
@@ -15,6 +21,34 @@ namespace qc {
 namespace {
 
 using namespace qc::qplan;  // NOLINT
+
+// Bit-exact, position-exact equality (doubles compared on bit patterns).
+void ExpectBitExact(const storage::ResultTable& got,
+                    const storage::ResultTable& want,
+                    const std::string& tag) {
+  ASSERT_EQ(got.size(), want.size()) << tag << ": row count";
+  ASSERT_EQ(got.types().size(), want.types().size()) << tag << ": arity";
+  for (size_t r = 0; r < got.size(); ++r) {
+    for (size_t c = 0; c < got.types().size(); ++c) {
+      if (got.types()[c] == storage::ColType::kStr) {
+        ASSERT_STREQ(got.row(r)[c].s, want.row(r)[c].s)
+            << tag << ": row " << r << " col " << c;
+      } else {
+        ASSERT_EQ(got.row(r)[c].i, want.row(r)[c].i)
+            << tag << ": row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+exec::InterpOptions Opts(exec::InterpOptions::Engine e, int threads,
+                         int64_t morsel_rows = 16384) {
+  exec::InterpOptions o;
+  o.engine = e;
+  o.num_threads = threads;
+  o.morsel_rows = morsel_rows;
+  return o;
+}
 
 storage::Database* Db() {
   static storage::Database* db =
@@ -96,6 +130,20 @@ TEST_P(RandomPlanTest, AllConfigsMatchOracle) {
     EXPECT_TRUE(got.SameRows(oracle, &diff))
         << "seed " << GetParam() << " level " << levels << "\n"
         << plan->ToString() << diff;
+
+    exec::Interpreter tree(Db(),
+                           Opts(exec::InterpOptions::Engine::kTreeWalk, 1));
+    storage::ResultTable want = tree.Run(*res.fn);
+    for (auto engine : {exec::InterpOptions::Engine::kBytecode,
+                        exec::InterpOptions::Engine::kJit}) {
+      exec::Interpreter par(Db(), Opts(engine, 4, 509));
+      std::string tag =
+          "seed " + std::to_string(GetParam()) + " level " +
+          std::to_string(levels) +
+          (engine == exec::InterpOptions::Engine::kJit ? " jit" : " vm") +
+          " threads=4 vs treewalk\n" + plan->ToString();
+      ExpectBitExact(par.Run(*res.fn), want, tag);
+    }
   }
 }
 

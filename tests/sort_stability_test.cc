@@ -2,10 +2,10 @@
 // exec/parallel.h ParallelStableSort + the src/jit/ native sort sites):
 // every engine sorts through the same stable merge core, so the output —
 // including the relative order of equal keys — is identical across
-// {tree walk, bytecode VM, JIT} x threads {1, 2, 4} x any chunk
-// decomposition, and bit-identical to the pre-subsystem std::stable_sort
-// engines. Duplicate-key inputs are the interesting case: only stability
-// pins their output order.
+// {bytecode VM, JIT} x threads {1, 2, 4} x any chunk decomposition, and
+// bit-identical to the sequential tree walker (the reference oracle) and to
+// the pre-subsystem std::stable_sort engines. Duplicate-key inputs are the
+// interesting case: only stability pins their output order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,10 +39,16 @@ InterpOptions Opts(InterpOptions::Engine e, int threads,
   return o;
 }
 
+// The threaded engines; each is compared against the tree walker at one
+// thread, which runs sequentially only.
 const InterpOptions::Engine kEngines[] = {InterpOptions::Engine::kBytecode,
-                                          InterpOptions::Engine::kTreeWalk,
                                           InterpOptions::Engine::kJit};
-const char* kEngineNames[] = {"bytecode", "treewalk", "jit"};
+const char* kEngineNames[] = {"bytecode", "jit"};
+constexpr int kNumEngines = 2;
+
+InterpOptions TreeWalk() {
+  return Opts(InterpOptions::Engine::kTreeWalk, 1);
+}
 
 void ExpectBitExact(const storage::ResultTable& got,
                     const storage::ResultTable& want,
@@ -124,26 +130,26 @@ TEST(SortStability, DuplicateKeysIdenticalAcrossEnginesAndThreads) {
                      return a.first < b.first;  // key only: ties untouched
                    });
 
-  storage::ResultTable ref;
-  bool have_ref = false;
-  for (int e = 0; e < 3; ++e) {
+  auto expect_stable = [&](const storage::ResultTable& got,
+                           const std::string& tag) {
+    ASSERT_EQ(got.size(), static_cast<size_t>(kRows)) << tag;
+    for (size_t r = 0; r < got.size(); ++r) {
+      ASSERT_EQ(got.row(r)[0].i, want[r].first) << tag << ": key row " << r;
+      ASSERT_EQ(got.row(r)[1].i, want[r].second)
+          << tag << ": tie order lost at row " << r;
+    }
+  };
+  exec::Interpreter tree(&db, TreeWalk());
+  storage::ResultTable ref = tree.Run(*fn);
+  expect_stable(ref, "dup-key treewalk");
+  for (int e = 0; e < kNumEngines; ++e) {
     for (int threads : {1, 2, 4}) {
       exec::Interpreter interp(&db, Opts(kEngines[e], threads, 512));
       storage::ResultTable got = interp.Run(*fn);
       std::string tag = std::string("dup-key ") + kEngineNames[e] +
                         " threads=" + std::to_string(threads);
-      ASSERT_EQ(got.size(), static_cast<size_t>(kRows)) << tag;
-      for (size_t r = 0; r < got.size(); ++r) {
-        ASSERT_EQ(got.row(r)[0].i, want[r].first) << tag << ": key row " << r;
-        ASSERT_EQ(got.row(r)[1].i, want[r].second)
-            << tag << ": tie order lost at row " << r;
-      }
-      if (!have_ref) {
-        ref = std::move(got);
-        have_ref = true;
-      } else {
-        ExpectBitExact(got, ref, tag);
-      }
+      expect_stable(got, tag);
+      ExpectBitExact(got, ref, tag);
     }
   }
 }
@@ -158,20 +164,15 @@ TEST(SortStability, EmptyAndSingleChunkEdges) {
   // declines and the sequential core runs, same bytes.
   auto single = BuildDupKeySort(&types, 300, 7, "single_chunk_sort");
   for (auto* fn : {empty.get(), single.get()}) {
-    storage::ResultTable ref;
-    bool have_ref = false;
-    for (int e = 0; e < 3; ++e) {
+    exec::Interpreter tree(&db, TreeWalk());
+    storage::ResultTable ref = tree.Run(*fn);
+    for (int e = 0; e < kNumEngines; ++e) {
       for (int threads : {1, 4}) {
         exec::Interpreter interp(&db, Opts(kEngines[e], threads, 64));
         storage::ResultTable got = interp.Run(*fn);
         std::string tag = fn->name() + " " + kEngineNames[e] + " threads=" +
                           std::to_string(threads);
-        if (!have_ref) {
-          ref = std::move(got);
-          have_ref = true;
-        } else {
-          ExpectBitExact(got, ref, tag);
-        }
+        ExpectBitExact(got, ref, tag);
       }
     }
     ASSERT_EQ(ref.size(),
@@ -185,7 +186,7 @@ TEST(SortStability, EmptyAndSingleChunkEdges) {
 // batch is in flight. The single-batch WorkerPool cannot nest, so these
 // sorts must stay sequential on every engine — the compiler withholds the
 // parallel flag inside morsel fragments (the JIT's sort helper sees only
-// that flag), and the interpreters additionally gate on morsel context.
+// that flag), and the VM additionally gates on morsel context.
 // QC_PAR_SORT_MIN=2 makes any missed gate redispatch immediately.
 TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
   ScopedSortMin min_rows("2");
@@ -241,29 +242,24 @@ TEST(SortStability, InLoopSortsStaySequentialOnWorkers) {
     EXPECT_EQ(frag_sorts, 1);
   }
 
-  storage::ResultTable ref;
-  bool have_ref = false;
-  for (int e = 0; e < 3; ++e) {
+  exec::Interpreter tree(&db, TreeWalk());
+  storage::ResultTable ref = tree.Run(fn);
+  ASSERT_EQ(ref.size(), 1u);
+  for (int e = 0; e < kNumEngines; ++e) {
     for (int threads : {1, 4}) {
       exec::Interpreter interp(&db, Opts(kEngines[e], threads, 512));
       storage::ResultTable got = interp.Run(fn);
       std::string tag = std::string("in-loop sort ") + kEngineNames[e] +
                         " threads=" + std::to_string(threads);
-      ASSERT_EQ(got.size(), 1u) << tag;
-      if (!have_ref) {
-        ref = std::move(got);
-        have_ref = true;
-      } else {
-        ExpectBitExact(got, ref, tag);
-      }
+      ExpectBitExact(got, ref, tag);
     }
   }
 }
 
 // The sort-heavy TPC-H queries (every ORDER BY shape the stack lowers:
-// Q1/Q3/Q10/Q16/Q18), at both stack levels, all engines, threads {1,2,4},
-// with the parallel sort forced on: bit-exact results and exact AllocStats
-// vs the sequential bytecode VM.
+// Q1/Q3/Q10/Q16/Q18), at both stack levels, the VM and the JIT at threads
+// {1,2,4}, with the parallel sort forced on: bit-exact results and exact
+// AllocStats vs the sequential tree walker.
 class SortHeavyTpchTest : public ::testing::TestWithParam<int> {
  protected:
   static storage::Database* db() {
@@ -274,21 +270,16 @@ class SortHeavyTpchTest : public ::testing::TestWithParam<int> {
 
   static void CheckAllConfigs(const ir::Function& fn,
                               const std::string& tag) {
-    exec::Interpreter refi(db(), Opts(InterpOptions::Engine::kBytecode, 1));
-    storage::ResultTable want = refi.Run(fn);
-    for (int e = 0; e < 3; ++e) {
-      exec::AllocStats seq_stats;
+    exec::Interpreter tree(db(), TreeWalk());
+    storage::ResultTable want = tree.Run(fn);
+    for (int e = 0; e < kNumEngines; ++e) {
       for (int threads : {1, 2, 4}) {
         exec::Interpreter interp(db(), Opts(kEngines[e], threads, 777));
         storage::ResultTable got = interp.Run(fn);
         std::string t = tag + " " + kEngineNames[e] + " threads=" +
                         std::to_string(threads);
         ExpectBitExact(got, want, t);
-        if (threads == 1) {
-          seq_stats = interp.stats();
-        } else {
-          ExpectStatsEqual(interp.stats(), seq_stats, t);
-        }
+        ExpectStatsEqual(interp.stats(), tree.stats(), t);
       }
     }
   }
