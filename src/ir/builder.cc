@@ -3,22 +3,52 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/hash.h"
+
 namespace qc::ir {
 
-Builder::Builder(Function* fn) : fn_(fn) {
+namespace {
+
+constexpr size_t kInitialCseSlots = 256;
+
+uint64_t FloatBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+uint64_t CseHash(Op op, const Type* type, const std::vector<Stmt*>& args,
+                 int64_t ival, double fval, const std::string& sval, int aux0,
+                 int aux1) {
+  uint64_t h = HashCombine(static_cast<uint64_t>(op),
+                           reinterpret_cast<uintptr_t>(type));
+  for (const Stmt* a : args) h = HashCombine(h, reinterpret_cast<uintptr_t>(a));
+  h = HashCombine(h, static_cast<uint64_t>(ival));
+  h = HashCombine(h, FloatBits(fval));
+  if (!sval.empty()) h = HashCombine(h, HashString(sval));
+  h = HashCombine(h, static_cast<uint64_t>(aux0));
+  return HashCombine(h, static_cast<uint64_t>(aux1));
+}
+
+}  // namespace
+
+Builder::Builder(Function* fn) : fn_(fn), cse_slots_(kInitialCseSlots) {
   scope_.push_back(fn->body());
-  cse_.emplace_back();
 }
 
 void Builder::PushBlock(Block* b) {
   scope_.push_back(b);
-  cse_.emplace_back();
+  cse_marks_.push_back(cse_log_.size());
 }
 
 void Builder::PopBlock() {
   assert(scope_.size() > 1 && "cannot pop the function body");
   scope_.pop_back();
-  cse_.pop_back();
+  while (cse_log_.size() > cse_marks_.back()) {
+    cse_slots_[cse_log_.back()].stmt = nullptr;
+    cse_log_.pop_back();
+  }
+  cse_marks_.pop_back();
 }
 
 Block* Builder::InBlock(const std::function<void()>& body) {
@@ -29,32 +59,50 @@ Block* Builder::InBlock(const std::function<void()>& body) {
   return b;
 }
 
+Stmt* Builder::CseFind(uint64_t hash, Op op, const Type* type,
+                       const std::vector<Stmt*>& args, int64_t ival,
+                       double fval, const std::string& sval, int aux0,
+                       int aux1, size_t* empty_slot) const {
+  const size_t mask = cse_slots_.size() - 1;
+  size_t i = hash & mask;
+  for (; cse_slots_[i].stmt != nullptr; i = (i + 1) & mask) {
+    const CseSlot& e = cse_slots_[i];
+    const Stmt* s = e.stmt;
+    if (e.hash == hash && s->op == op && s->type == type &&
+        s->ival == ival && FloatBits(s->fval) == FloatBits(fval) &&
+        s->aux0 == aux0 && s->aux1 == aux1 && s->args == args &&
+        s->sval == sval) {
+      return e.stmt;
+    }
+  }
+  *empty_slot = i;
+  return nullptr;
+}
+
+void Builder::CseGrow() {
+  // Re-inserting in insertion order keeps the newest-first removal exact.
+  std::vector<CseSlot> old(2 * cse_slots_.size());
+  old.swap(cse_slots_);
+  const size_t mask = cse_slots_.size() - 1;
+  for (size_t& slot : cse_log_) {
+    const CseSlot e = old[slot];
+    slot = e.hash & mask;
+    while (cse_slots_[slot].stmt != nullptr) slot = (slot + 1) & mask;
+    cse_slots_[slot] = e;
+  }
+}
+
 Stmt* Builder::Emit(Op op, const Type* type, std::vector<Stmt*> args,
                     int64_t ival, double fval, std::string sval, int aux0,
                     int aux1) {
-  if (OpIsCseable(op)) {
-    std::vector<int> arg_ids;
-    arg_ids.reserve(args.size());
-    for (Stmt* a : args) arg_ids.push_back(a->id);
-    uint64_t fbits;
-    std::memcpy(&fbits, &fval, sizeof(fbits));
-    CseKey key{static_cast<int>(op), type, std::move(arg_ids),
-               ival,                 fbits, sval,
-               aux0,                 aux1};
-    for (auto it = cse_.rbegin(); it != cse_.rend(); ++it) {
-      auto found = it->find(key);
-      if (found != it->end()) return found->second;
-    }
-    Stmt* s = fn_->NewStmt(op, type);
-    s->args = std::move(args);
-    s->ival = ival;
-    s->fval = fval;
-    s->sval = sval;
-    s->aux0 = aux0;
-    s->aux1 = aux1;
-    CurrentBlock()->stmts.push_back(s);
-    cse_.back()[key] = s;
-    return s;
+  const bool cse = OpIsCseable(op);
+  uint64_t hash = 0;
+  size_t slot = 0;
+  if (cse) {
+    hash = CseHash(op, type, args, ival, fval, sval, aux0, aux1);
+    Stmt* found =
+        CseFind(hash, op, type, args, ival, fval, sval, aux0, aux1, &slot);
+    if (found != nullptr) return found;
   }
   Stmt* s = fn_->NewStmt(op, type);
   s->args = std::move(args);
@@ -64,6 +112,11 @@ Stmt* Builder::Emit(Op op, const Type* type, std::vector<Stmt*> args,
   s->aux0 = aux0;
   s->aux1 = aux1;
   CurrentBlock()->stmts.push_back(s);
+  if (cse) {
+    cse_slots_[slot] = CseSlot{hash, s};
+    cse_log_.push_back(slot);
+    if (2 * cse_log_.size() > cse_slots_.size()) CseGrow();
+  }
   return s;
 }
 

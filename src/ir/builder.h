@@ -1,14 +1,21 @@
 // Scoped ANF builder. All IR construction — front-end lowering and every
 // rewriting pass — goes through this class. Emitting a pure statement first
-// consults the scope-stack of value-numbering maps, so common subexpressions
-// are shared *by construction* (the "CSE for free" property of ANF, §3.3),
-// and sharing is only ever with dominating scopes.
+// consults the value-numbering table of the open scopes, so common
+// subexpressions are shared *by construction* (the "CSE for free" property
+// of ANF, §3.3), and sharing is only ever with dominating scopes.
+//
+// Every pass is one rebuilding clone through a Builder, so the per-statement
+// cost of emission is the cost of the whole lowering stack. The rule for
+// passes: per-statement side tables are vectors indexed by Stmt::id (ids are
+// dense per function, [0, Function::num_stmts())), never pointer-keyed
+// containers, and nothing iterates in pointer order — the output must not
+// depend on where the allocator put a statement.
 #ifndef QC_IR_BUILDER_H_
 #define QC_IR_BUILDER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -158,13 +165,29 @@ class Builder {
   const Type* Promote(Stmt** a, Stmt** b);
   Stmt* Cmp(Op op, Stmt* a, Stmt* b);
 
+  // Value numbering: one linear-probing table over the pure statements of
+  // all open scopes. A statement is its own key: lookups hash the operands
+  // of the statement about to be emitted and compare candidates' fields.
+  struct CseSlot {
+    uint64_t hash = 0;
+    Stmt* stmt = nullptr;  // nullptr: empty
+  };
+  Stmt* CseFind(uint64_t hash, Op op, const Type* type,
+                const std::vector<Stmt*>& args, int64_t ival, double fval,
+                const std::string& sval, int aux0, int aux1,
+                size_t* empty_slot) const;
+  void CseGrow();
+
   Function* fn_;
   std::vector<Block*> scope_;
 
-  // Value-numbering key for pure statements.
-  using CseKey = std::tuple<int, const Type*, std::vector<int>, int64_t,
-                            uint64_t, std::string, int, int>;
-  std::vector<std::map<CseKey, Stmt*>> cse_;
+  std::vector<CseSlot> cse_slots_;  // power-of-two capacity, load <= 1/2
+  // Slot of every entry, in insertion order. Closing a scope clears its
+  // entries newest first: the newest entry took the first empty slot of its
+  // probe run and no older entry probed past that slot, so clearing it
+  // restores the table exactly, with no tombstones.
+  std::vector<size_t> cse_log_;
+  std::vector<size_t> cse_marks_;  // cse_log_ size when each scope opened
 };
 
 }  // namespace qc::ir

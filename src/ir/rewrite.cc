@@ -13,17 +13,18 @@ Stmt* const Cloner::kDropped = &kDroppedStorage;
 std::unique_ptr<Function> Cloner::Run(const Function& src) {
   out_ = std::make_unique<Function>(src.name(), src.types());
   builder_ = std::make_unique<Builder>(out_.get());
-  map_.clear();
+  map_.assign(static_cast<size_t>(src.num_stmts()), nullptr);
   Prologue(src);
   CloneBlockBody(src.body());
   return std::move(out_);
 }
 
 Stmt* Cloner::Lookup(const Stmt* s) const {
-  auto it = map_.find(s);
-  assert(it != map_.end() && "use of a symbol that was not cloned yet");
-  assert(it->second != kDropped && "use of a dropped statement");
-  return it->second;
+  assert(static_cast<size_t>(s->id) < map_.size() && map_[s->id] != nullptr &&
+         "use of a symbol that was not cloned yet");
+  Stmt* r = map_[s->id];
+  assert(r != kDropped && "use of a dropped statement");
+  return r;
 }
 
 Stmt* Cloner::CloneDefault(const Stmt* s) {
@@ -49,7 +50,7 @@ Block* Cloner::CloneBlock(const Block* src) {
   for (const Stmt* p : src->params) {
     Stmt* np = b().fn()->NewParam(MapType(p->type));
     nb->params.push_back(np);
-    map_[p] = np;
+    Map(p, np);
   }
   b().PushBlock(nb);
   CloneBlockBody(src);
@@ -60,7 +61,7 @@ Block* Cloner::CloneBlock(const Block* src) {
 void Cloner::Visit(const Stmt* s) {
   Stmt* r = Transform(s);
   if (r == nullptr) r = CloneDefault(s);
-  map_[s] = r;
+  Map(s, r);
 }
 
 }  // namespace qc::ir

@@ -5,11 +5,19 @@
 // replacement code through the same Builder. Because emission goes through
 // the Builder, the output is automatically in ANF with CSE applied, and the
 // source function is never mutated (passes are pure Function -> Function).
+//
+// A pass is one clone, so its cost is a per-statement cost. The rule for
+// passes: per-statement side tables (the clone map here, analysis facts in
+// opt/) are vectors indexed by Stmt::id, which is dense per function
+// ([0, Function::num_stmts())), never pointer-keyed containers; and analyses
+// visit statements in program order (opt::UseIndex::stmts), never in pointer
+// or hash-bucket order, so the output cannot depend on heap addresses.
 #ifndef QC_IR_REWRITE_H_
 #define QC_IR_REWRITE_H_
 
+#include <cassert>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "ir/builder.h"
 #include "ir/stmt.h"
@@ -44,7 +52,9 @@ class Cloner {
   Stmt* Lookup(const Stmt* s) const;
   // Registers a manual mapping old -> replacement.
   void Map(const Stmt* old_stmt, Stmt* replacement) {
-    map_[old_stmt] = replacement;
+    assert(static_cast<size_t>(old_stmt->id) < map_.size() &&
+           "not a statement of the source function");
+    map_[old_stmt->id] = replacement;
   }
 
   // Sentinel meaning "statement intentionally removed".
@@ -67,7 +77,7 @@ class Cloner {
   static Stmt* const kDropped;
   std::unique_ptr<Builder> builder_;
   std::unique_ptr<Function> out_;
-  std::unordered_map<const Stmt*, Stmt*> map_;
+  std::vector<Stmt*> map_;  // source id -> clone; nullptr: not cloned yet
 };
 
 }  // namespace qc::ir

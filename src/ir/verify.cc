@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "ir/printer.h"
 
@@ -20,44 +19,69 @@ const char* LevelName(Level level) {
 
 namespace {
 
+// Scope checking with id-indexed slots: a statement is bound when the slot
+// of its id holds that very statement, so a statement of another function
+// whose id collides with a bound one is still reported as unbound. Ids are
+// register indices downstream, so a bound statement whose id lies outside
+// [0, num_stmts) or is shared with another statement is an error too.
 class Checker {
  public:
-  explicit Checker(std::vector<std::string>* errors) : errors_(errors) {}
+  Checker(const Function& fn, std::vector<std::string>* errors)
+      : errors_(errors),
+        bound_(static_cast<size_t>(fn.num_stmts()), nullptr),
+        seen_(static_cast<size_t>(fn.num_stmts()), nullptr) {}
 
   void CheckBlock(const Block* b) {
-    size_t added = 0;
-    for (const Stmt* p : b->params) {
-      bound_.insert(p);
-      ++added;
-    }
-    std::vector<const Stmt*> local;
+    for (const Stmt* p : b->params) Bind(p, /*is_param=*/true);
     for (const Stmt* s : b->stmts) {
-      if (seen_.count(s) != 0) {
-        Error("statement x%d bound more than once", s->id);
-      }
-      seen_.insert(s);
       for (const Stmt* a : s->args) {
-        if (bound_.count(a) == 0) {
+        if (!IsBound(a)) {
           Error("x%d uses x%d before (or outside) its binding", s->id, a->id);
         }
       }
       for (const Block* nb : s->blocks) {
         CheckBlock(nb);
       }
-      bound_.insert(s);
-      local.push_back(s);
-      ++added;
+      Bind(s, /*is_param=*/false);
     }
-    if (b->result != nullptr && bound_.count(b->result) == 0) {
+    if (b->result != nullptr && !IsBound(b->result)) {
       Error("block result x%d is not bound in scope", b->result->id);
     }
     // Leave scope: remove local bindings (params + stmts of this block).
-    for (const Stmt* p : b->params) bound_.erase(p);
-    for (const Stmt* s : local) bound_.erase(s);
-    (void)added;
+    for (const Stmt* p : b->params) Unbind(p);
+    for (const Stmt* s : b->stmts) Unbind(s);
   }
 
  private:
+  bool InRange(const Stmt* s) const {
+    return s->id >= 0 && static_cast<size_t>(s->id) < bound_.size();
+  }
+
+  bool IsBound(const Stmt* s) const {
+    return InRange(s) && bound_[static_cast<size_t>(s->id)] == s;
+  }
+
+  void Bind(const Stmt* s, bool is_param) {
+    if (!InRange(s)) {
+      Error("statement x%d has an id outside its function", s->id);
+      return;
+    }
+    const size_t id = static_cast<size_t>(s->id);
+    if (!is_param) {
+      if (seen_[id] == s) {
+        Error("statement x%d bound more than once", s->id);
+      } else if (seen_[id] != nullptr) {
+        Error("two statements are bound as x%d", s->id);
+      }
+      seen_[id] = s;
+    }
+    bound_[id] = s;
+  }
+
+  void Unbind(const Stmt* s) {
+    if (IsBound(s)) bound_[static_cast<size_t>(s->id)] = nullptr;
+  }
+
   void Error(const char* fmt, int a = 0, int bb = 0) {
     char buf[256];
     std::snprintf(buf, sizeof(buf), fmt, a, bb);
@@ -65,8 +89,9 @@ class Checker {
   }
 
   std::vector<std::string>* errors_;
-  std::unordered_set<const Stmt*> bound_;
-  std::unordered_set<const Stmt*> seen_;
+  // Indexed by Stmt::id.
+  std::vector<const Stmt*> bound_;
+  std::vector<const Stmt*> seen_;
 };
 
 void CollectLevelViolations(const Block* b, Level level, bool allow_lib,
@@ -90,7 +115,7 @@ void CollectLevelViolations(const Block* b, Level level, bool allow_lib,
 
 std::vector<std::string> VerifyFunction(const Function& fn) {
   std::vector<std::string> errors;
-  Checker checker(&errors);
+  Checker checker(fn, &errors);
   checker.CheckBlock(fn.body());
   return errors;
 }

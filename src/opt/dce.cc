@@ -1,7 +1,5 @@
 #include "opt/dce.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace qc::opt {
@@ -32,6 +30,10 @@ bool IsStore(Op op) {
 class DcePass {
  public:
   int Run(ir::Function* fn) {
+    const size_t n = static_cast<size_t>(fn->num_stmts());
+    parent_.assign(n, nullptr);
+    stores_on_.assign(n, {});
+    live_.assign(n, false);
     Index(fn->body(), nullptr);
     // Seed: emissions are always observable.
     for (Stmt* s : all_) {
@@ -70,14 +72,14 @@ class DcePass {
   void Index(Block* b, Stmt* parent) {
     for (Stmt* s : b->stmts) {
       all_.push_back(s);
-      parent_[s] = parent;
+      parent_[s->id] = parent;
       if (IsStore(s->op) && !s->args.empty()) {
         // Register the store against the whole derivation chain of its
         // target; a store whose chain escapes into a block parameter is
         // conservatively live.
         Stmt* t = s->args[0];
         while (true) {
-          stores_on_[t].push_back(s);
+          stores_on_[t->id].push_back(s);
           if (ir::IsParam(t)) {
             MarkLive(s);
             break;
@@ -91,8 +93,8 @@ class DcePass {
   }
 
   void MarkLive(Stmt* s) {
-    if (s == nullptr || live_.count(s) != 0) return;
-    live_.insert(s);
+    if (s == nullptr || live_[s->id]) return;
+    live_[s->id] = true;
     worklist_.push_back(s);
   }
 
@@ -101,19 +103,15 @@ class DcePass {
     for (Block* nb : s->blocks) {
       if (nb->result != nullptr) MarkLive(nb->result);
     }
-    auto pit = parent_.find(s);
-    if (pit != parent_.end() && pit->second != nullptr) MarkLive(pit->second);
-    auto sit = stores_on_.find(s);
-    if (sit != stores_on_.end()) {
-      for (Stmt* st : sit->second) MarkLive(st);
-    }
+    MarkLive(parent_[s->id]);
+    for (Stmt* st : stores_on_[s->id]) MarkLive(st);
   }
 
   void Prune(Block* b, int* removed) {
     std::vector<Stmt*> kept;
     kept.reserve(b->stmts.size());
     for (Stmt* s : b->stmts) {
-      if (live_.count(s) == 0) {
+      if (!live_[s->id]) {
         ++*removed;
         continue;
       }
@@ -124,9 +122,10 @@ class DcePass {
   }
 
   std::vector<Stmt*> all_;
-  std::unordered_map<Stmt*, Stmt*> parent_;
-  std::unordered_map<Stmt*, std::vector<Stmt*>> stores_on_;
-  std::unordered_set<Stmt*> live_;
+  // Indexed by Stmt::id.
+  std::vector<Stmt*> parent_;
+  std::vector<std::vector<Stmt*>> stores_on_;
+  std::vector<bool> live_;
   std::vector<Stmt*> worklist_;
 };
 

@@ -1,7 +1,6 @@
 #include "opt/hash_spec.h"
 
-#include <map>
-#include <set>
+#include <deque>
 #include <vector>
 
 #include "ir/rewrite.h"
@@ -43,14 +42,11 @@ class HashSpecPass : public ir::Cloner {
   void Analyze(const ir::Function& fn, ir::TypeFactory* types) {
     RangeAnalysis ranges(fn, db_);
     UseIndex idx = BuildUseIndex(fn);
-
-    std::set<const Stmt*> all;
-    for (const auto& [s, p] : idx.parent) {
-      all.insert(s);
-      (void)p;
-    }
-
-    for (const Stmt* s : all) {
+    const size_t n = static_cast<size_t>(fn.num_stmts());
+    map_spec_of_.assign(n, nullptr);
+    mmap_spec_of_.assign(n, nullptr);
+    recnew_spec_of_.assign(n, nullptr);
+    for (const Stmt* s : idx.stmts) {
       if (s->op == Op::kMapNew) AnalyzeMap(s, idx, &ranges);
       if (s->op == Op::kMMapNew) AnalyzeMMap(s, idx, &ranges, types);
     }
@@ -60,15 +56,15 @@ class HashSpecPass : public ir::Cloner {
   Stmt* Transform(const Stmt* s) override {
     switch (s->op) {
       case Op::kMapNew: {
-        auto it = maps_.find(s);
-        if (it == maps_.end()) return nullptr;
+        const MapSpec* spec = map_spec_of_[s->id];
+        if (spec == nullptr) return nullptr;
         return b().ArrNew(s->type->value,
-                          b().I64(static_cast<int64_t>(it->second.size)));
+                          b().I64(static_cast<int64_t>(spec->size)));
       }
       case Op::kMapGetOrElseUpdate: {
-        auto it = maps_.find(s->args[0]);
-        if (it == maps_.end()) return nullptr;
-        const MapSpec& spec = it->second;
+        const MapSpec* found = map_spec_of_[s->args[0]->id];
+        if (found == nullptr) return nullptr;
+        const MapSpec& spec = *found;
         Stmt* arr = Lookup(s->args[0]);
         Stmt* index = KeyIndex(spec, s->args[1]);
         Stmt* cur = b().ArrGet(arr, index);
@@ -80,9 +76,9 @@ class HashSpecPass : public ir::Cloner {
         return b().ArrGet(arr, index);
       }
       case Op::kMapForeach: {
-        auto it = maps_.find(s->args[0]);
-        if (it == maps_.end()) return nullptr;
-        const MapSpec& spec = it->second;
+        const MapSpec* found = map_spec_of_[s->args[0]->id];
+        if (found == nullptr) return nullptr;
+        const MapSpec& spec = *found;
         Stmt* arr = Lookup(s->args[0]);
         const ir::Block* body = s->blocks[0];
         return b().ForRange(
@@ -101,9 +97,9 @@ class HashSpecPass : public ir::Cloner {
       }
 
       case Op::kMMapNew: {
-        auto it = mmaps_.find(s);
-        if (it == mmaps_.end()) return nullptr;
-        const MMapSpec& spec = it->second;
+        const MMapSpec* found = mmap_spec_of_[s->id];
+        if (found == nullptr) return nullptr;
+        const MMapSpec& spec = *found;
         const Type* bucket = spec.intrusive
                                  ? spec.ext_rec
                                  : b().types()->List(s->type->value);
@@ -113,9 +109,9 @@ class HashSpecPass : public ir::Cloner {
         return arr;
       }
       case Op::kMMapAdd: {
-        auto it = mmaps_.find(s->args[0]);
-        if (it == mmaps_.end()) return nullptr;
-        const MMapSpec& spec = it->second;
+        const MMapSpec* found = mmap_spec_of_[s->args[0]->id];
+        if (found == nullptr) return nullptr;
+        const MMapSpec& spec = *found;
         Stmt* arr = Lookup(s->args[0]);
         Stmt* index = b().Sub(Lookup(s->args[1]), b().I64(spec.lo));
         Stmt* val = Lookup(s->args[2]);
@@ -134,9 +130,9 @@ class HashSpecPass : public ir::Cloner {
         return b().ListAppend(lst2, val);
       }
       case Op::kMMapGetOrNull: {
-        auto it = mmaps_.find(s->args[0]);
-        if (it == mmaps_.end()) return nullptr;
-        const MMapSpec& spec = it->second;
+        const MMapSpec* found = mmap_spec_of_[s->args[0]->id];
+        if (found == nullptr) return nullptr;
+        const MMapSpec& spec = *found;
         Stmt* arr = Lookup(s->args[0]);
         Stmt* key = Lookup(s->args[1]);
         const Type* bucket = spec.intrusive
@@ -156,9 +152,9 @@ class HashSpecPass : public ir::Cloner {
         // Intrusive bucket traversal (while-loop over __next, Fig. 4f).
         const Stmt* src = s->args[0];
         if (src->op != Op::kMMapGetOrNull) return nullptr;
-        auto it = mmaps_.find(src->args[0]);
-        if (it == mmaps_.end() || !it->second.intrusive) return nullptr;
-        const MMapSpec& spec = it->second;
+        const MMapSpec* found = mmap_spec_of_[src->args[0]->id];
+        if (found == nullptr || !found->intrusive) return nullptr;
+        const MMapSpec& spec = *found;
         const ir::Block* body = s->blocks[0];
         Stmt* cur = b().VarNew(Lookup(src));
         return b().While(
@@ -171,9 +167,9 @@ class HashSpecPass : public ir::Cloner {
             });
       }
       case Op::kRecNew: {
-        auto it = extended_recnews_.find(s);
-        if (it == extended_recnews_.end()) return nullptr;
-        const MMapSpec& spec = *it->second;
+        const MMapSpec* found = recnew_spec_of_[s->id];
+        if (found == nullptr) return nullptr;
+        const MMapSpec& spec = *found;
         std::vector<Stmt*> args;
         for (const Stmt* a : s->args) args.push_back(Lookup(a));
         args.push_back(b().NullOf(
@@ -279,7 +275,8 @@ class HashSpecPass : public ir::Cloner {
     } else {
       return;
     }
-    maps_[m] = spec;
+    map_specs_.push_back(std::move(spec));
+    map_spec_of_[m->id] = &map_specs_.back();
   }
 
   void AnalyzeMMap(const Stmt* mm, const UseIndex& idx, RangeAnalysis* ranges,
@@ -327,17 +324,21 @@ class HashSpecPass : public ir::Cloner {
       spec.next_field = static_cast<int>(spec.rec->record->fields.size());
       spec.intrusive = true;
     }
-    mmaps_[mm] = spec;
-    if (spec.intrusive) {
-      extended_recnews_[add_recnew] = &mmaps_[mm];
-    }
+    mmap_specs_.push_back(spec);
+    mmap_spec_of_[mm->id] = &mmap_specs_.back();
+    if (spec.intrusive) recnew_spec_of_[add_recnew->id] = &mmap_specs_.back();
   }
 
   storage::Database* db_;
   HashSpecOptions options_;
-  std::map<const Stmt*, MapSpec> maps_;
-  std::map<const Stmt*, MMapSpec> mmaps_;
-  std::map<const Stmt*, const MMapSpec*> extended_recnews_;
+  std::deque<MapSpec> map_specs_;  // deques: stable addresses
+  std::deque<MMapSpec> mmap_specs_;
+  // Indexed by source Stmt::id: the spec of a specialised map_new or
+  // mmap_new, and of the mmap a rec_new is threaded through (intrusive
+  // lists); nullptr when generic.
+  std::vector<const MapSpec*> map_spec_of_;
+  std::vector<const MMapSpec*> mmap_spec_of_;
+  std::vector<const MMapSpec*> recnew_spec_of_;
 };
 
 }  // namespace

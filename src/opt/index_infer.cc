@@ -1,8 +1,6 @@
 #include "opt/index_infer.h"
 
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "ir/rewrite.h"
@@ -54,8 +52,11 @@ class IndexInferencePass : public ir::Cloner {
 
   void Analyze(const ir::Function& fn) {
     UseIndex idx = BuildUseIndex(fn);
-    for (const auto& [s, p] : idx.parent) {
-      (void)p;
+    const size_t n = static_cast<size_t>(fn.num_stmts());
+    drop_.assign(n, false);
+    probe_sites_.assign(n, nullptr);
+    spliced_adds_.assign(n, nullptr);
+    for (const Stmt* s : idx.stmts) {
       if (s->op == Op::kMMapNew) TryInfer(s, idx);
     }
   }
@@ -71,17 +72,13 @@ class IndexInferencePass : public ir::Cloner {
       }
     }
 
-    if (drop_.count(s) != 0) return Drop();
-
-    auto it = probe_sites_.find(s);
-    if (it != probe_sites_.end()) {
-      EmitProbe(*it->second);
+    if (drop_[s->id]) return Drop();
+    if (const InferredIndex* info = probe_sites_[s->id]) {
+      EmitProbe(*info);
       return Drop();
     }
-
-    auto add_it = spliced_adds_.find(s);
-    if (add_it != spliced_adds_.end()) {
-      SpliceForeachBody(*add_it->second);
+    if (const InferredIndex* info = spliced_adds_[s->id]) {
+      SpliceForeachBody(*info);
       return Drop();
     }
     return nullptr;
@@ -122,9 +119,8 @@ class IndexInferencePass : public ir::Cloner {
     // Locate the enclosing ForRange over table_rows(T) with row = loop var.
     const Stmt* p = info.build_add;
     while (true) {
-      auto pit = idx.parent.find(p);
-      if (pit == idx.parent.end() || pit->second == nullptr) return;
-      p = pit->second;
+      p = idx.ParentOf(p);
+      if (p == nullptr) return;
       if (p->op == Op::kForRange) break;
       if (p->op != Op::kIf) return;
     }
@@ -182,13 +178,12 @@ class IndexInferencePass : public ir::Cloner {
 
     inferred_.push_back(std::make_unique<InferredIndex>(info));
     InferredIndex* stored = inferred_.back().get();
-    drop_.insert(mm);
-    drop_.insert(info.build_loop);
-    drop_.insert(info.probe_get);
-    drop_.insert(info.probe_isnull);
-    drop_.insert(info.probe_not);
-    probe_sites_[info.probe_if] = stored;
-    spliced_adds_[info.build_add] = stored;
+    for (const Stmt* d : {mm, info.build_loop, info.probe_get,
+                          info.probe_isnull, info.probe_not}) {
+      drop_[d->id] = true;
+    }
+    probe_sites_[info.probe_if->id] = stored;
+    spliced_adds_[info.build_add->id] = stored;
 
     // Build the load-time index now: construction is charged to loading.
     if (info.is_pk) {
@@ -239,9 +234,10 @@ class IndexInferencePass : public ir::Cloner {
 
   storage::Database* db_;
   std::vector<std::unique_ptr<InferredIndex>> inferred_;
-  std::set<const Stmt*> drop_;
-  std::map<const Stmt*, const InferredIndex*> probe_sites_;
-  std::map<const Stmt*, const InferredIndex*> spliced_adds_;
+  // Indexed by source Stmt::id.
+  std::vector<bool> drop_;
+  std::vector<const InferredIndex*> probe_sites_;
+  std::vector<const InferredIndex*> spliced_adds_;
   std::vector<Splice> splice_stack_;
 };
 

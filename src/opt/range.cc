@@ -10,7 +10,9 @@ using ir::Stmt;
 using ir::TypeKind;
 
 RangeAnalysis::RangeAnalysis(const ir::Function& fn, storage::Database* db)
-    : db_(db) {
+    : db_(db),
+      state_(static_cast<size_t>(fn.num_stmts()), kUnvisited),
+      memo_(static_cast<size_t>(fn.num_stmts())) {
   IndexRecordSources(fn.body());
 }
 
@@ -32,13 +34,12 @@ void RangeAnalysis::IndexRecordSources(const Block* b) {
 }
 
 ValueRange RangeAnalysis::Of(const Stmt* s) {
-  auto it = memo_.find(s);
-  if (it != memo_.end()) return it->second;
-  if (in_progress_[s]) return ValueRange{};  // cycle via var/field: unknown
-  in_progress_[s] = true;
+  if (state_[s->id] == kDone) return memo_[s->id];
+  if (state_[s->id] == kInProgress) return {};  // cycle via var/field
+  state_[s->id] = kInProgress;
   ValueRange r = Compute(s);
-  in_progress_[s] = false;
-  return memo_[s] = r;
+  state_[s->id] = kDone;
+  return memo_[s->id] = r;
 }
 
 ValueRange RangeAnalysis::Compute(const Stmt* s) {

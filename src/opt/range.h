@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/stmt.h"
@@ -45,8 +44,10 @@ class RangeAnalysis {
   std::map<std::pair<const ir::RecordSchema*, int>,
            std::vector<const ir::Stmt*>>
       field_sources_;
-  std::unordered_map<const ir::Stmt*, ValueRange> memo_;
-  std::unordered_map<const ir::Stmt*, bool> in_progress_;
+  // Indexed by Stmt::id.
+  enum State : uint8_t { kUnvisited, kInProgress, kDone };
+  std::vector<State> state_;
+  std::vector<ValueRange> memo_;
 };
 
 }  // namespace qc::opt

@@ -1,7 +1,7 @@
 #include "opt/scalar_repl.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "ir/rewrite.h"
 
@@ -13,37 +13,41 @@ using ir::Stmt;
 
 namespace {
 
+// Per-statement record state, indexed by Stmt::id.
+enum RecState : uint8_t { kNotRecord, kReplaceable, kEscapes };
+
+void Escape(const Stmt* s, std::vector<RecState>* state) {
+  RecState& st = (*state)[s->id];
+  if (st != kNotRecord) st = kEscapes;
+}
+
 // Records eligible for replacement: every use is a kRecGet (no escape into
 // collections, no kRecSet mutation, not a block result).
-void FindReplaceable(const Block* b,
-                     std::unordered_map<const Stmt*, bool>* eligible) {
+void FindReplaceable(const Block* b, std::vector<RecState>* state) {
   for (const Stmt* s : b->stmts) {
-    if (s->op == Op::kRecNew) eligible->emplace(s, true);
+    if (s->op == Op::kRecNew && (*state)[s->id] == kNotRecord) {
+      (*state)[s->id] = kReplaceable;
+    }
     for (size_t i = 0; i < s->args.size(); ++i) {
-      const Stmt* a = s->args[i];
       if (s->op == Op::kRecGet && i == 0) continue;  // reading is fine
-      auto it = eligible->find(a);
-      if (it != eligible->end()) it->second = false;
+      Escape(s->args[i], state);
     }
-    if (b->result != nullptr) {
-      auto it = eligible->find(b->result);
-      if (it != eligible->end()) it->second = false;
-    }
-    for (const Block* nb : s->blocks) FindReplaceable(nb, eligible);
+    if (b->result != nullptr) Escape(b->result, state);
+    for (const Block* nb : s->blocks) FindReplaceable(nb, state);
   }
 }
 
 class ScalarReplacer : public ir::Cloner {
  public:
   void Analyze(const ir::Function& fn) {
-    FindReplaceable(fn.body(), &eligible_);
+    state_.assign(static_cast<size_t>(fn.num_stmts()), kNotRecord);
+    FindReplaceable(fn.body(), &state_);
   }
 
  protected:
   Stmt* Transform(const Stmt* s) override {
     if (s->op == Op::kRecGet) {
-      auto it = eligible_.find(s->args[0]);
-      if (it != eligible_.end() && it->second) {
+      if (state_[s->args[0]->id] == kReplaceable) {
         // Field value flows directly; the record is never materialized.
         return Lookup(s->args[0]->args[s->aux0]);
       }
@@ -52,7 +56,7 @@ class ScalarReplacer : public ir::Cloner {
   }
 
  private:
-  std::unordered_map<const Stmt*, bool> eligible_;
+  std::vector<RecState> state_;
 };
 
 }  // namespace

@@ -1,9 +1,8 @@
 #include "opt/string_dict.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "ir/rewrite.h"
 #include "opt/users.h"
@@ -23,13 +22,23 @@ class DictPass : public ir::Cloner {
       : db_(db), options_(options) {}
 
   void Analyze(const ir::Function& fn) {
+    rewritten_.assign(static_cast<size_t>(fn.num_stmts()), false);
     if (!options_.rewrite_hash_keys) return;
     UseIndex idx = BuildUseIndex(fn);
     // Hash keys: record-key constructions reaching map/mmap operations where
     // every string component is a dictionary-eligible column read.
-    std::map<const Stmt*, std::vector<const Stmt*>> map_keys;
-    CollectKeyRecNews(fn.body(), &map_keys);
-    for (const auto& [map_stmt, recnews] : map_keys) {
+    for (const Stmt* map_stmt : idx.stmts) {
+      if (map_stmt->op != Op::kMapNew && map_stmt->op != Op::kMMapNew) {
+        continue;
+      }
+      std::vector<const Stmt*> recnews;
+      for (const Stmt* u : idx.UsersOf(map_stmt)) {
+        if ((u->op == Op::kMapGetOrElseUpdate || u->op == Op::kMMapAdd ||
+             u->op == Op::kMMapGetOrNull) &&
+            u->args[0] == map_stmt && u->args[1]->op == Op::kRecNew) {
+          recnews.push_back(u->args[1]);
+        }
+      }
       bool ok = true;
       bool any_str = false;
       for (const Stmt* rn : recnews) {
@@ -42,8 +51,8 @@ class DictPass : public ir::Cloner {
       if (!ok || !any_str) continue;
       // The foreach key parameter (if any) must be unused: its type changes.
       if (ForeachKeyUsed(map_stmt, idx)) continue;
-      rewritten_maps_.insert(map_stmt);
-      for (const Stmt* rn : recnews) rewritten_keys_.insert(rn);
+      rewritten_[map_stmt->id] = true;
+      for (const Stmt* rn : recnews) rewritten_[rn->id] = true;
     }
   }
 
@@ -94,7 +103,7 @@ class DictPass : public ir::Cloner {
         return b().And(b().Ge(dc, b().I32(lo)), b().Le(dc, b().I32(hi)));
       }
       case Op::kRecNew: {
-        if (rewritten_keys_.count(s) == 0) return nullptr;
+        if (!rewritten_[s->id]) return nullptr;
         const Type* nt = DictKeyType(s->type->record);
         std::vector<Stmt*> args;
         for (const Stmt* comp : s->args) {
@@ -107,7 +116,7 @@ class DictPass : public ir::Cloner {
         return b().RecNew(nt, std::move(args));
       }
       case Op::kMapNew: {
-        if (rewritten_maps_.count(s) == 0) return nullptr;
+        if (!rewritten_[s->id]) return nullptr;
         Stmt* m = b().MapNew(DictKeyType(s->type->key->record),
                              s->type->value);
         m->aux0 = s->aux0;
@@ -115,7 +124,7 @@ class DictPass : public ir::Cloner {
         return m;
       }
       case Op::kMMapNew: {
-        if (rewritten_maps_.count(s) == 0) return nullptr;
+        if (!rewritten_[s->id]) return nullptr;
         Stmt* m = b().MMapNew(DictKeyType(s->type->key->record),
                               s->type->value);
         m->aux0 = s->aux0;
@@ -163,25 +172,6 @@ class DictPass : public ir::Cloner {
     return b().types()->Record(rec->name + "_dc", std::move(fields));
   }
 
-  void CollectKeyRecNews(
-      const ir::Block* blk,
-      std::map<const Stmt*, std::vector<const Stmt*>>* out) {
-    for (const Stmt* s : blk->stmts) {
-      const Stmt* key = nullptr;
-      const Stmt* map_stmt = nullptr;
-      if (s->op == Op::kMapGetOrElseUpdate || s->op == Op::kMMapAdd ||
-          s->op == Op::kMMapGetOrNull) {
-        map_stmt = s->args[0];
-        key = s->args[1];
-      }
-      if (key != nullptr && key->op == Op::kRecNew &&
-          (map_stmt->op == Op::kMapNew || map_stmt->op == Op::kMMapNew)) {
-        (*out)[map_stmt].push_back(key);
-      }
-      for (const ir::Block* nb : s->blocks) CollectKeyRecNews(nb, out);
-    }
-  }
-
   bool ForeachKeyUsed(const Stmt* map_stmt, const UseIndex& idx) const {
     for (const Stmt* u : idx.UsersOf(map_stmt)) {
       if (u->op != Op::kMapForeach) continue;
@@ -193,8 +183,9 @@ class DictPass : public ir::Cloner {
 
   storage::Database* db_;
   StringDictOptions options_;
-  std::set<const Stmt*> rewritten_maps_;
-  std::set<const Stmt*> rewritten_keys_;
+  // Indexed by source Stmt::id: the map_new/mmap_new statements whose keys
+  // are dictionary-encoded, and the rec_new statements building those keys.
+  std::vector<bool> rewritten_;
 };
 
 }  // namespace

@@ -6,8 +6,9 @@ namespace {
 
 void Walk(const ir::Block* b, const ir::Stmt* parent, UseIndex* idx) {
   for (const ir::Stmt* s : b->stmts) {
-    idx->parent[s] = parent;
-    for (const ir::Stmt* a : s->args) idx->users[a].push_back(s);
+    idx->stmts.push_back(s);
+    idx->parent[s->id] = parent;
+    for (const ir::Stmt* a : s->args) idx->users[a->id].push_back(s);
     for (const ir::Block* nb : s->blocks) Walk(nb, s, idx);
   }
 }
@@ -16,6 +17,9 @@ void Walk(const ir::Block* b, const ir::Stmt* parent, UseIndex* idx) {
 
 UseIndex BuildUseIndex(const ir::Function& fn) {
   UseIndex idx;
+  const size_t n = static_cast<size_t>(fn.num_stmts());
+  idx.users.resize(n);
+  idx.parent.assign(n, nullptr);
   Walk(fn.body(), nullptr, &idx);
   return idx;
 }

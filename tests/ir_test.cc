@@ -3,7 +3,10 @@
 // elimination including store-through-reference aliasing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ir/builder.h"
+#include "ir/numbering.h"
 #include "ir/printer.h"
 #include "ir/rewrite.h"
 #include "ir/verify.h"
@@ -61,14 +64,69 @@ TEST(Builder, CseRespectsScopes) {
   Stmt* outer = b.Add(b.I64(1), b.I64(2));
   Stmt* inner_reuse = nullptr;
   Stmt* inner_new = nullptr;
+  Stmt* loop_first = nullptr;
   b.ForRange(b.I64(0), b.I64(10), [&](Stmt* i) {
     inner_reuse = b.Add(b.I64(1), b.I64(2));  // dominated by outer: shared
     inner_new = b.Add(i, b.I64(2));           // depends on loop var
+    loop_first = b.Mul(outer, b.I64(2));      // outer values, first seen here
   });
-  // After the loop, the loop-local expression must NOT be reused.
   EXPECT_EQ(inner_reuse, outer);
   Stmt* after = b.Add(b.I64(1), b.I64(2));
   EXPECT_EQ(after, outer);
+  // After the loop, the loop-local expression must NOT be reused.
+  Stmt* loop_again = b.Mul(outer, b.I64(2));
+  EXPECT_NE(loop_again, loop_first);
+  b.EmitRow({loop_again});
+  CheckFunction(fn);
+}
+
+TEST(Builder, CseDoesNotShareBetweenThenAndElse) {
+  TypeFactory types;
+  Function fn("f", &types);
+  Builder b(&fn);
+  Stmt* x = b.I64(3);
+  Stmt* y = b.I64(4);
+  Stmt* in_then = nullptr;
+  Stmt* in_else = nullptr;
+  b.If(
+      b.Lt(x, y), [&] { in_then = b.Add(x, y); },
+      [&] { in_else = b.Add(x, y); });
+  EXPECT_NE(in_then, in_else);
+  Stmt* after = b.Add(x, y);
+  EXPECT_NE(after, in_then);
+  EXPECT_NE(after, in_else);
+  CheckFunction(fn);
+}
+
+TEST(Builder, CseTableGrowsWhileScopesAreOpen) {
+  // Enough entries to grow the value-numbering table several times, most
+  // of them two scopes deep; the scope pops must still undo them exactly.
+  constexpr int kOuter = 100;
+  constexpr int kInner = 300;
+  TypeFactory types;
+  Function fn("f", &types);
+  Builder b(&fn);
+  std::vector<Stmt*> outer;
+  for (int k = 0; k < kOuter; ++k) outer.push_back(b.I64(k));
+  std::vector<Stmt*> inner_consts;
+  b.ForRange(b.I64(0), b.I64(10), [&](Stmt* i) {
+    b.If(b.Gt(i, outer[1]), [&] {
+      std::vector<Stmt*> inner;
+      for (int k = 0; k < kInner; ++k) {
+        inner_consts.push_back(b.I64(kOuter + k));
+        inner.push_back(b.Mul(i, inner_consts.back()));
+      }
+      for (int k = 0; k < kOuter; ++k) EXPECT_EQ(b.I64(k), outer[k]);
+      for (int k = 0; k < kInner; ++k) {
+        EXPECT_EQ(b.I64(kOuter + k), inner_consts[k]);
+        EXPECT_EQ(b.Mul(i, inner_consts[k]), inner[k]);
+      }
+    });
+  });
+  for (int k = 0; k < kOuter; ++k) EXPECT_EQ(b.I64(k), outer[k]) << k;
+  for (int k = 0; k < kInner; ++k) {
+    EXPECT_NE(b.I64(kOuter + k), inner_consts[k]) << k;
+  }
   CheckFunction(fn);
 }
 
@@ -95,6 +153,33 @@ TEST(Verify, CatchesUseBeforeDef) {
   bad->args.push_back(loop_local);
   fn.body()->stmts.push_back(bad);
   EXPECT_FALSE(VerifyFunction(fn).empty());
+}
+
+TEST(Verify, CatchesStatementBoundTwice) {
+  TypeFactory types;
+  Function fn("f", &types);
+  Builder b(&fn);
+  Stmt* x = b.Add(b.I64(1), b.I64(2));
+  ASSERT_TRUE(VerifyFunction(fn).empty());
+  fn.body()->stmts.push_back(x);
+  EXPECT_FALSE(VerifyFunction(fn).empty());
+}
+
+TEST(Verify, CatchesForeignStatementWithACollidingId) {
+  TypeFactory types;
+  Function fn("f", &types);
+  Builder b(&fn);
+  Stmt* own = b.Add(b.I64(1), b.I64(2));
+  Function other("g", &types);
+  Builder ob(&other);
+  Stmt* foreign = ob.Add(ob.I64(1), ob.I64(2));
+  ASSERT_EQ(foreign->id, own->id);  // same shape, same ids
+  Stmt* bad = fn.NewStmt(Op::kNeg, types.I64());
+  bad->args.push_back(foreign);
+  fn.body()->stmts.push_back(bad);
+  EXPECT_FALSE(VerifyFunction(fn).empty());
+  bad->args[0] = own;
+  EXPECT_TRUE(VerifyFunction(fn).empty());
 }
 
 TEST(Verify, LevelRangesEnforced) {
@@ -198,6 +283,32 @@ TEST(Cloner, IdentityCloneIsEquivalent) {
   auto clone = id.Run(fn);
   CheckFunction(*clone);
   EXPECT_EQ(PrintFunction(fn), PrintFunction(*clone));
+}
+
+TEST(Cloner, ClonesAcrossHolesInTheIdSpace) {
+  TypeFactory types;
+  Function fn("f", &types);
+  Builder b(&fn);
+  Stmt* sum = b.VarNew(b.I64(0));
+  b.Mul(b.I64(6), b.I64(7));  // dead: leaves holes once DCE runs
+  b.ForRange(b.I64(0), b.I64(10), [&](Stmt* i) {
+    b.Sub(i, b.I64(100));  // dead
+    b.VarAssign(sum, b.Add(b.VarRead(sum), i));
+  });
+  b.StrC("dead");
+  b.EmitRow({b.VarRead(sum)});
+  EXPECT_GT(opt::DeadCodeElimination(&fn), 0);
+  CheckFunction(fn);
+
+  class Identity : public Cloner {};
+  auto clone = Identity().Run(fn);
+  CheckFunction(*clone);
+  EXPECT_LT(clone->num_stmts(), fn.num_stmts());
+  // The clone numbers statements densely in program order, as
+  // RenumberDense does in place.
+  RenumberDense(&fn);
+  EXPECT_EQ(clone->num_stmts(), fn.num_stmts());
+  EXPECT_EQ(PrintFunction(*clone), PrintFunction(fn));
 }
 
 TEST(Printer, ShowsAnfBindings) {
